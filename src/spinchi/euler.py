@@ -13,6 +13,11 @@ with the dimension-only factor
     R(d) = 2^(5l^2 - 5l + 1) * |B_{psi,l}| / l                 d = 2 mod 4
     R(d) = 2^(5l^2)         * (2^(d-1) - 1)  * |zeta(2-d)|     d odd.
 
+R(d) and the j-product depend on d alone, so they are cached per d, both
+exactly and factored: the factorization of chi is assembled from the
+cached factored pieces (each (2^(2j)-1)|zeta(1-2j)| and |E_(l-1)|
+factored once) and C(l, k), and the full value is never factored.
+
 ``adelic_assembly_exact`` recomputes chi from first principles as a
 product of local volumes: the normalized compact-dual volume, the
 2-adic congruence subgroup volume 2^(-d(d-1)), and the odd-prime Euler
@@ -30,10 +35,10 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .exactq import (
+    Factored,
     PiExact,
     ResidualPiPowerError,
-    format_factored,
-    gen_bernoulli_mod4,
+    euler_number,
     l_psi_exact_odd,
     primes_up_to,
     zeta_even_exact,
@@ -71,7 +76,16 @@ class EulerResult:
 
     @property
     def factored(self) -> str:
-        return format_factored(self.value)
+        """The value as a signed prime power product, e.g. "2^89 * 5^2 * 17".
+
+        Assembled from the factored pieces ``chi_closed`` computes the
+        value from, which the descriptor determines.
+        """
+        if self.value == 0:
+            return "0"
+        desc = self.descriptor
+        return str(Factored.of(self.sign * math.comb(desc.l, desc.k))
+                   * _dimension_factored(desc.d))
 
 
 def r_factor(d: int) -> Fraction:
@@ -86,8 +100,8 @@ def r_factor(d: int) -> Fraction:
         return (Fraction(2) ** (5 * l * l - 4 * l) * (2 ** l - 1)
                 * abs(zeta_negative_odd(l // 2)))
     if d % 2 == 0:
-        return (Fraction(2) ** (5 * l * l - 5 * l + 1)
-                * abs(gen_bernoulli_mod4(l)) / l)
+        # |B_{psi,l}| / l = |E_(l-1)| / 2
+        return Fraction(2) ** (5 * l * l - 5 * l) * abs(euler_number(l - 1))
     return (Fraction(2) ** (5 * l * l) * (2 ** (d - 1) - 1)
             * abs(zeta_negative_odd((d - 1) // 2)))
 
@@ -99,6 +113,37 @@ def _odd_zeta_product(l: int) -> Fraction:
     return out
 
 
+@lru_cache(maxsize=None)
+def _dimension_value(d: int) -> Fraction:
+    """R(d) * prod_{j<l} (2^(2j)-1)|zeta(1-2j)|; chi = +-C(l, k) times this."""
+    return r_factor(d) * _odd_zeta_product(d // 2)
+
+
+@lru_cache(maxsize=None)
+def _zeta_piece(j: int) -> Factored:
+    """(2^(2j) - 1) |zeta(1 - 2j)|, factored."""
+    return Factored.of(2 ** (2 * j) - 1) * Factored.of(abs(zeta_negative_odd(j)))
+
+
+@lru_cache(maxsize=None)
+def _dimension_factored(d: int) -> Factored:
+    """_dimension_value(d), assembled from factored pieces.
+
+    R(d) is a power of 2 times one piece: (2^l-1)|zeta(1-l)| is
+    _zeta_piece(l/2) and (2^(d-1)-1)|zeta(2-d)| is _zeta_piece(l).
+    """
+    l = d // 2
+    if d % 4 == 0:
+        out = Factored(1, ((2, 5 * l * l - 4 * l),)) * _zeta_piece(l // 2)
+    elif d % 2 == 0:
+        out = Factored(1, ((2, 5 * l * l - 5 * l),)) * Factored.of(abs(euler_number(l - 1)))
+    else:
+        out = Factored(1, ((2, 5 * l * l),)) * _zeta_piece(l)
+    for j in range(1, l):
+        out *= _zeta_piece(j)
+    return out
+
+
 def chi_closed(m: int, n: int) -> EulerResult:
     """chi of the level-4 congruence subgroup of Spin(m, n), exactly."""
     desc = SpinGroupDescriptor(m, n)
@@ -106,8 +151,7 @@ def chi_closed(m: int, n: int) -> EulerResult:
     if case == CASE_ZERO:
         return EulerResult(desc, Fraction(0), case)
     sign = -1 if (m * n // 2) % 2 else 1
-    value = sign * r_factor(desc.d) * math.comb(desc.l, desc.k) \
-        * _odd_zeta_product(desc.l)
+    value = sign * math.comb(desc.l, desc.k) * _dimension_value(desc.d)
     return EulerResult(desc, value, case)
 
 

@@ -12,15 +12,21 @@ powers of pi, and factored integers.  This module provides those scalars:
 * ``PiExact``: a rational multiple of pi^(k/2), closed under the ring
   operations we need; additions across different pi powers are refused
   rather than approximated.
-* ``FactoredInteger`` and ``factor``: signed prime factorizations.
+* ``FactoredInteger`` and ``factor``: signed prime factorizations of
+  integers; ``Factored``: signed factorizations of rationals, closed
+  under multiplication and division, so a product of factored pieces
+  never has to be factored again.
 
 All functions are pure; memoization uses ``functools.lru_cache`` (safe
 under CPython threading).
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -78,14 +84,15 @@ def bernoulli_poly(n: int, x: Scalar) -> Fraction:
 def gen_bernoulli_mod4(n: int) -> Fraction:
     """Generalized Bernoulli number B_{psi,n} for psi the character mod 4.
 
-    B_{psi,n} = 4^(n-1) * (B_n(1/4) - B_n(3/4)).  Vanishes for even n;
-    the first odd values are -1/2, 3/2, -25/2, 427/2, -12465/2.
+    Defined as 4^(n-1) * (B_n(1/4) - B_n(3/4)), and computed as
+    -n E_(n-1) / 2 for odd n and 0 for even n.  The first odd values are
+    -1/2, 3/2, -25/2, 427/2, -12465/2.
     """
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")
-    return Fraction(4) ** (n - 1) * (
-        bernoulli_poly(n, Fraction(1, 4)) - bernoulli_poly(n, Fraction(3, 4))
-    )
+    if n % 2 == 0:
+        return Fraction(0)
+    return Fraction(-n * euler_number(n - 1), 2)
 
 
 @lru_cache(maxsize=None)
@@ -265,16 +272,33 @@ _EXTRA_RANDOM_ROUNDS = 24  # above the deterministic bound
 _TRIAL_BOUND = 10 ** 6
 
 
+def _primes(bound: int) -> Iterator[int]:
+    """The primes <= bound in ascending order, by a sieve over odd numbers."""
+    if bound < 2:
+        return iter(())
+    size = (bound + 1) // 2
+    odd_flags = bytearray([1]) * size  # odd_flags[i]: is 2i + 1 prime
+    odd_flags[0] = 0
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
+        if odd_flags[i]:
+            p = 2 * i + 1
+            odd_flags[p * p // 2:: p] = bytes(len(range(p * p // 2, size, p)))
+    return itertools.chain((2,), itertools.compress(range(1, bound + 1, 2), odd_flags))
+
+
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, by sieve."""
-    if bound < 2:
-        return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = bytearray(len(sieve[p * p:: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(_primes(bound))
+
+
+@lru_cache(maxsize=1)
+def _trial_primes() -> array:
+    """The primes <= _TRIAL_BOUND, sieved on first use.
+
+    Kept as a C array (0.3 MB) rather than a list of int objects (3 MB):
+    every process that factors anything holds it for its lifetime.
+    """
+    return array("I", _primes(_TRIAL_BOUND))
 
 
 def _mr_witness(a: int, n: int, d: int, r: int) -> bool:
@@ -365,25 +389,22 @@ class FactoredInteger:
         sign = 1 if n > 0 else -1
         n = abs(n)
         found: dict[int, int] = {}
-        for p in (2, 3, 5):
-            while n % p == 0:
-                n //= p
-                found[p] = found.get(p, 0) + 1
-        d = 7
-        # wheel over 7, 11, 13, ... up to the trial bound
-        while d <= _TRIAL_BOUND and d * d <= n:
-            if n % d == 0:
-                n //= d
-                found[d] = found.get(d, 0) + 1
-            else:
-                d += 2
-                while d % 3 == 0 or d % 5 == 0:
-                    d += 2
-        if n > 1:
-            if d * d > n:
-                found[n] = found.get(n, 0) + 1
-            else:
-                _factor_into(n, found)
+        primes = _trial_primes()
+        for p in primes[:bisect.bisect_right(primes, math.isqrt(n))]:
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                found[p] = e
+                if p * p > n:
+                    break
+        # n has no prime factor <= min(sqrt(n), _TRIAL_BOUND) left, so
+        # below _TRIAL_BOUND^2 it is 1 or a prime.
+        if n >= _TRIAL_BOUND ** 2:
+            _factor_into(n, found)
+        elif n > 1:
+            found[n] = 1
         return cls(sign, tuple(sorted(found.items())))
 
     @property
@@ -419,6 +440,60 @@ def factor(x: Scalar):
     raise TypeError(f"cannot factor {x!r}")
 
 
+@dataclass(frozen=True)
+class Factored:
+    """Signed factorization of a nonzero rational.
+
+    ``factors`` is ((p, e), ...) by ascending prime, every e nonzero; the
+    primes of the denominator carry negative exponents.  Products and
+    quotients add and subtract exponents, so nothing is factored twice.
+    """
+
+    sign: int
+    factors: tuple[tuple[int, int], ...] = ()
+
+    @classmethod
+    def of(cls, x: Scalar) -> "Factored":
+        x = Fraction(x)
+        if x == 0:
+            raise ValueError("cannot factor 0")
+        num = FactoredInteger.of(x.numerator)
+        exponents = dict(num.factors)
+        if x.denominator > 1:
+            exponents.update((p, -e) for p, e in
+                             FactoredInteger.of(x.denominator).factors)
+        return cls(num.sign, tuple(sorted(exponents.items())))
+
+    def __mul__(self, other: "Factored") -> "Factored":
+        if not isinstance(other, Factored):
+            return NotImplemented
+        exponents = dict(self.factors)
+        for p, e in other.factors:
+            exponents[p] = exponents.get(p, 0) + e
+        return Factored(self.sign * other.sign,
+                        tuple(sorted((p, e) for p, e in exponents.items() if e)))
+
+    def __truediv__(self, other: "Factored") -> "Factored":
+        if not isinstance(other, Factored):
+            return NotImplemented
+        return self * Factored(other.sign, tuple((p, -e) for p, e in other.factors))
+
+    @property
+    def value(self) -> Fraction:
+        num, den = self.sign, 1
+        for p, e in self.factors:
+            if e > 0:
+                num *= p ** e
+            else:
+                den *= p ** -e
+        return Fraction(num, den)
+
+    def __str__(self) -> str:
+        num = FactoredInteger(self.sign, tuple((p, e) for p, e in self.factors if e > 0))
+        den = tuple((p, -e) for p, e in self.factors if e < 0)
+        return f"{num} / {FactoredInteger(1, den)}" if den else str(num)
+
+
 def format_factored(x: Scalar) -> str:
     """Render an exact value as a signed prime power product.
 
@@ -426,10 +501,4 @@ def format_factored(x: Scalar) -> str:
     " / " between numerator and denominator factorizations.
     """
     x = Fraction(x)
-    if x == 0:
-        return "0"
-    if x.denominator == 1:
-        return str(FactoredInteger.of(x.numerator))
-    num = FactoredInteger.of(x.numerator)
-    den = FactoredInteger.of(x.denominator)
-    return f"{num} / {den}"
+    return "0" if x == 0 else str(Factored.of(x))

@@ -2,7 +2,8 @@
 
 The acceptance tests register one line per criterion; the terminal
 summary prints them after the run so `pytest -v` ends with an explicit
-PASS/FAIL line for each numbered criterion.
+PASS/FAIL line for each numbered criterion.  ``parse_factored`` reads a
+printed factorization back, so tests can multiply it out themselves.
 """
 from __future__ import annotations
 
@@ -18,6 +19,27 @@ def criterion_report():
         suffix = f" ({detail})" if detail and not ok else ""
         _CRITERION_LINES.append((number, f"{status} criterion {number}: {label}{suffix}"))
     return record
+
+
+def _parse_factored(text: str) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
+    """Split "-2^3 * 5 / 3^2" into its sign and the numerator's and the
+    denominator's (base, exponent) pairs, in printed order."""
+    text = text.strip()
+    sign = -1 if text.startswith("-") else 1
+    num, _, den = text.lstrip("-").partition(" / ")
+
+    def powers(part: str) -> list[tuple[int, int]]:
+        if part in ("", "1"):
+            return []
+        return [(int(base), int(exp or 1))
+                for base, _, exp in (term.partition("^") for term in part.split(" * "))]
+
+    return sign, powers(num), powers(den)
+
+
+@pytest.fixture
+def parse_factored():
+    return _parse_factored
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

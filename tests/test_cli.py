@@ -6,8 +6,10 @@ the exit codes and the exact JSON/CSV shapes are pinned down.
 from __future__ import annotations
 
 import json
+import math
 
 from spinchi.cli import main
+from spinchi.euler import chi_closed
 
 
 def run(capsys, *argv):
@@ -51,6 +53,14 @@ def test_chi_factored_flag(capsys):
     code, out, _ = run(capsys, "chi", "4", "6", "--factored")
     assert code == 0
     assert out.strip() == "2^90 * 5^2 * 17"
+
+
+def test_chi_factored_frontier(capsys, parse_factored):
+    code, out, _ = run(capsys, "chi", "48", "2", "--factored")
+    assert code == 0
+    sign, num, den = parse_factored(out)
+    assert not den
+    assert sign * math.prod(p ** e for p, e in num) == chi_closed(48, 2).value
 
 
 def test_chi_pretty_is_indented_json(capsys):

@@ -28,7 +28,7 @@ from spinchi.euler import (
     rho_product,
     s_arithmetic_sign,
 )
-from spinchi.exactq import zeta_negative_odd
+from spinchi.exactq import format_factored, is_prime, zeta_negative_odd
 
 
 def _odd_product(l: int) -> Fraction:
@@ -59,6 +59,37 @@ def test_chi_factored_strings():
     assert chi_closed(4, 6).factored == "2^90 * 5^2 * 17"
     assert chi_closed(2, 1).factored == "-2^3"
     assert chi_closed(3, 3).factored == "0"
+
+
+def test_chi_factored_matches_factoring_the_value():
+    # The assembled factorization against factoring the value from scratch.
+    for d in range(3, 25):
+        for m in range(1, d):
+            res = chi_closed(m, d - m)
+            assert res.factored == format_factored(res.value), (m, d - m)
+
+
+def test_chi_factored_multiplies_back(parse_factored):
+    primes_seen = set()
+    for d in range(3, 51):
+        for m in range(1, d):
+            res = chi_closed(m, d - m)
+            if res.value == 0:
+                assert res.factored == "0"
+                continue
+            sign, num, den = parse_factored(res.factored)
+            value = Fraction(sign)
+            for p, e in num:
+                value *= p ** e
+            for p, e in den:
+                value /= p ** e
+            assert value == res.value, (m, d - m)
+            for part in (num, den):
+                primes = [p for p, _ in part]
+                assert primes == sorted(set(primes)), (m, d - m)
+                primes_seen.update(primes)
+            assert not {p for p, _ in num} & {p for p, _ in den}
+    assert all(is_prime(p) for p in primes_seen)
 
 
 def test_chi_case_tags():

@@ -17,6 +17,8 @@ import mpmath
 import pytest
 
 from spinchi.exactq import (
+    _TRIAL_BOUND,
+    Factored,
     FactoredInteger,
     PiExact,
     PiPowerMismatchError,
@@ -130,7 +132,7 @@ def test_gen_bernoulli_mod4_table():
 
 def test_gen_bernoulli_mod4_definition():
     # 4^(n-1) * (B_n(1/4) - B_n(3/4)) recomputed from the polynomial.
-    for n in range(1, 16):
+    for n in range(1, 40):
         direct = Fraction(4) ** (n - 1) * (
             bernoulli_poly(n, Fraction(1, 4)) - bernoulli_poly(n, Fraction(3, 4))
         )
@@ -370,6 +372,48 @@ def test_factored_integer_examples():
     assert str(FactoredInteger.of(-1)) == "-1"
     with pytest.raises(ValueError):
         FactoredInteger.of(0)
+
+
+def test_factored_integer_at_the_trial_bound():
+    top = primes_up_to(_TRIAL_BOUND)[-1]
+    above = [n for n in range(_TRIAL_BOUND + 1, _TRIAL_BOUND + 100) if is_prime(n)][:2]
+    below_square = next(n for n in range(_TRIAL_BOUND ** 2 - 1, 0, -1) if is_prime(n))
+    cases = {
+        1: (),
+        -1: (),
+        top ** 2: ((top, 2),),
+        -top * above[0]: ((top, 1), (above[0], 1)),
+        above[0]: ((above[0], 1),),
+        below_square: ((below_square, 1),),
+        above[0] ** 2: ((above[0], 2),),
+        2 ** 5 * above[0] * above[1]: ((2, 5), (above[0], 1), (above[1], 1)),
+    }
+    for n, factors in cases.items():
+        fi = FactoredInteger.of(n)
+        assert fi.factors == factors, n
+        assert fi.value == n
+
+
+def test_factored_rationals():
+    x = Factored.of(Fraction(-17, 2 ** 11))
+    assert x == Factored(-1, ((2, -11), (17, 1)))
+    assert x.value == Fraction(-17, 2 ** 11)
+    assert str(x) == "-17 / 2^11"
+    assert str(Factored.of(Fraction(1, 8))) == "1 / 2^3"
+    assert str(Factored.of(-1)) == "-1"
+    assert str(Factored.of(6) / Factored.of(6)) == "1"
+    with pytest.raises(ValueError):
+        Factored.of(0)
+    rng = random.Random(5)
+    for _ in range(100):
+        a, b = (Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 6))
+                for _ in range(2))
+        fa, fb = Factored.of(a), Factored.of(b)
+        assert fa * fb == Factored.of(a * b)
+        assert fa / fb == Factored.of(a / b)
+        assert (fa / fb).value == a / b
+        assert str(fa) == format_factored(a)
+        assert [p for p, _ in fa.factors] == sorted({p for p, _ in fa.factors})
 
 
 def test_factor_handles_rationals():
