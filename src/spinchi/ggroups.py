@@ -8,6 +8,8 @@ cokernel of equal size, so |Spin(F_p)| = |SO(F_p)|):
   d = 2l:      p^(l(l-1)) * (p^l - t) * prod_{j=1}^{l-1} (p^(2j) - 1)
 
 with t = +1 for plus type and t = -1 for minus type (``qforms.fp_type``).
+``order_degrees`` holds this degree list, which the float Euler product
+in ``euler`` reads too.
 
 ``so_order_bruteforce`` counts solutions of M^T B M = B, det M = 1 by
 column-by-column enumeration with Gram-condition pruning.  It exists as
@@ -93,20 +95,26 @@ def weyl_ratio(desc: SpinGroupDescriptor) -> Fraction:
     return Fraction(2 * math.comb(desc.l, desc.k))
 
 
+def order_degrees(d: int) -> tuple[int, tuple[tuple[int, bool], ...]]:
+    """(a, ((e, typed), ...)) with |Spin(F_p)| = p^a prod_e (p^e - t_e(p)).
+
+    t_e(p) = fp_type(m, n, p) for the typed degree (e = l, d = 2l even)
+    and 1 for every other degree.  a + sum e = dim G = d(d-1)/2.
+    """
+    l = d // 2
+    if d % 2:
+        return l * l, tuple((2 * j, False) for j in range(1, l + 1))
+    return l * (l - 1), (*((2 * j, False) for j in range(1, l)), (l, True))
+
+
 def spin_order_fp(desc: SpinGroupDescriptor, p: int) -> int:
     """|Spin(m, n)(F_p)| for an odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError("need an odd prime")
-    d, l = desc.d, desc.l
-    if d % 2:
-        order = p ** (l * l)
-        for j in range(1, l + 1):
-            order *= p ** (2 * j) - 1
-        return order
-    t = fp_type(desc.m, desc.n, p)
-    order = p ** (l * (l - 1)) * (p ** l - t)
-    for j in range(1, l):
-        order *= p ** (2 * j) - 1
+    a, degrees = order_degrees(desc.d)
+    order = p ** a
+    for e, typed in degrees:
+        order *= p ** e - (fp_type(desc.m, desc.n, p) if typed else 1)
     return order
 
 

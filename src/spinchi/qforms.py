@@ -335,20 +335,28 @@ def witt_index_rational(form: DiagonalForm) -> int:
 # Forms over F_p and genus comparison
 
 
+def fp_type_twisted(m: int, n: int) -> bool:
+    """Whether the F_p type of <1^m, (-1)^n> depends on p.  d = m + n even.
+
+    False: plus type at every odd p.  True: the type is (-1/p), plus for
+    p = 1 mod 4 and minus for p = 3 mod 4.  See ``fp_type``.
+    """
+    d = m + n
+    if d % 2 or m < 0 or n < 0:
+        raise ValueError("need m, n >= 0 with even d")
+    return (n + d // 2) % 2 == 1
+
+
 def fp_type(m: int, n: int, p: int) -> int:
     """Type of the reduction of <1^m, (-1)^n> mod an odd prime p.
 
     +1 (plus type, split even orthogonal group) iff disc * (-1)^(d/2)
     = (-1)^(n + d/2) is a square mod p; -1 otherwise.  d = m + n even.
     """
-    d = m + n
-    if d % 2 or m < 0 or n < 0:
-        raise ValueError("need m, n >= 0 with even d")
+    twisted = fp_type_twisted(m, n)
     if p == 2 or not is_prime(p):
         raise ValueError("need an odd prime")
-    if (n + d // 2) % 2 == 0:
-        return 1
-    return 1 if p % 4 == 1 else -1
+    return -1 if twisted and p % 4 == 3 else 1
 
 
 @lru_cache(maxsize=None)

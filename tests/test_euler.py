@@ -8,11 +8,13 @@ over primes.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from spinchi.euler import (
+    _log_prime_sum,
     CASE_0MOD4,
     CASE_2MOD4,
     CASE_ODD,
@@ -28,7 +30,9 @@ from spinchi.euler import (
     rho_product,
     s_arithmetic_sign,
 )
-from spinchi.exactq import format_factored, is_prime, zeta_negative_odd
+from spinchi.exactq import format_factored, is_prime, primes_up_to, zeta_negative_odd
+from spinchi.ggroups import SpinGroupDescriptor, order_degrees, spin_order_fp
+from spinchi.qforms import fp_type_twisted
 
 
 def _odd_product(l: int) -> Fraction:
@@ -174,6 +178,46 @@ def test_adelic_assembly_float_edge_cases():
     assert adelic_assembly_float(3, 3) == 0.0
     with pytest.raises(ValueError):
         adelic_assembly_float(2, 1, prime_bound=50)
+    with pytest.raises(ValueError):
+        adelic_assembly_float(3, 3, prime_bound=50)
+
+
+def _tail_bound(d: int, bound: int) -> float:
+    _, degrees = order_degrees(d)
+    return sum(1.01 / ((e - 1) * bound ** (e - 1)) for e, _ in degrees)
+
+
+def test_adelic_assembly_float_tail_bound():
+    # The primes above the bound shift log|chi| by at most _tail_bound.
+    for bound in (100, 1000, 10 ** 5):
+        for d in range(3, 13):
+            assert _tail_bound(d, bound) <= 2.03 / bound
+            for m in range(1, d):
+                n = d - m
+                if m % 2 and n % 2:
+                    continue
+                exact = chi_closed(m, n).value
+                rel = abs(Fraction(adelic_assembly_float(m, n, bound)) / exact - 1)
+                assert rel <= math.expm1(_tail_bound(d, bound)), (m, n, bound)
+    # the tail is not below 1e-6 at 10^5: (2,2) has two degree-2 factors
+    exact = chi_closed(2, 2).value
+    assert abs(Fraction(adelic_assembly_float(2, 2)) / exact - 1) > 1e-6
+
+
+def test_log_prime_sum_matches_spin_order_fp():
+    # spin_order_fp stays the reference for the cached per-degree sums
+    bound = 2000
+    primes = primes_up_to(bound)[1:]
+    for d in range(3, 31):
+        dim_g = d * (d - 1) // 2
+        # for even d, n = 1 and n = 2 give the two types
+        for n in ((1,) if d % 2 else (1, 2)):
+            desc = SpinGroupDescriptor(d - n, n)
+            twisted = d % 2 == 0 and fp_type_twisted(desc.m, desc.n)
+            want = math.fsum(dim_g * math.log(p) - math.log(spin_order_fp(desc, p))
+                             for p in primes)
+            got = _log_prime_sum(d, twisted, bound)
+            assert abs(got - want) <= 1e-9 * abs(want), (desc, got, want)
 
 
 # ---------------------------------------------------------------------------
