@@ -14,7 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import clifford, exactq, ggroups, profinite, qforms
+from . import clifford, exactq, ggroups, oracles, profinite, qforms
 from . import euler as euler_mod
 from .exactq import ResidualPiPowerError
 
@@ -69,8 +69,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rep = profinite.profinitely_commensurable(
-        args.m, args.n, args.m2, args.n2, prime_bound=args.prime_bound)
+    rep = profinite.profinitely_commensurable(args.m, args.n, args.m2, args.n2)
     first, second = rep.chi_both
     _emit({
         "first": {"m": args.m, "n": args.n,
@@ -204,37 +203,13 @@ def _suite_oracles() -> None:
         a, b = rng.choice(squarefrees), rng.choice(squarefrees)
         v = rng.choice([None, 2, 3, 5, 7, 11, 13])
         got = qforms.hilbert_symbol(a, b, v)
-        want = _hilbert_bruteforce(a, b, v)
+        want = oracles.hilbert_bruteforce(a, b, v)
         assert got == want, f"Hilbert symbol ({a},{b})_{v}: {got} vs {want}"
     for (m, n), p in (((2, 1), 3), ((2, 1), 5), ((2, 2), 3), ((3, 1), 3)):
         desc = ggroups.SpinGroupDescriptor(m, n)
         formula = ggroups.spin_order_fp(desc, p)
         counted = ggroups.so_order_bruteforce(qforms.DiagonalForm.pm(m, n), p)
         assert formula == counted, f"order mismatch at ({m},{n}), p={p}"
-
-
-def _hilbert_bruteforce(a: int, b: int, v) -> int:
-    """Primitive solvability of z^2 = a x^2 + b y^2, searched mod p^k.
-
-    Squarefree a, b only.  Modulus p^4 (2^6 at p=2) makes every primitive
-    solution Hensel-liftable, so the search is exact.  A primitive triple
-    can be scaled so some unit coordinate is 1, hence three sweeps.
-    """
-    if v is None:
-        return -1 if a < 0 and b < 0 else 1
-    p = v
-    modulus = 2 ** 6 if p == 2 else p ** 4
-    squares = {z * z % modulus for z in range(modulus)}
-    for x in range(modulus):  # y = 1
-        if (a * x * x + b) % modulus in squares:
-            return 1
-    for y in range(modulus):  # x = 1
-        if (a + b * y * y) % modulus in squares:
-            return 1
-    targets = {(1 - a * x * x) % modulus for x in range(modulus)}  # z = 1
-    if any(b * y * y % modulus in targets for y in range(modulus)):
-        return 1
-    return -1
 
 
 def _suite_adelic() -> None:
@@ -309,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("m2", type=int)
     p.add_argument("n2", type=int)
-    p.add_argument("--prime-bound", type=int, default=100)
 
     p = add("table", _cmd_table, "chi table for all (m,n) with 3 <= d <= d_max")
     p.add_argument("--d-max", type=int, default=10)

@@ -16,15 +16,15 @@ values themselves are not profinite invariants, and
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator
 
-from .euler import EulerResult, chi_closed, chi_sign
+from .euler import EulerResult, chi_closed
 from .ggroups import SpinGroupDescriptor
 from .qforms import genus_first_failure, witt_index_rational
-
-GENUS_PRIME_BOUND = 100
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,18 @@ class CommensurabilityReport:
 
 
 def profinitely_commensurable(m: int, n: int, m2: int, n2: int,
-                              prime_bound: int = GENUS_PRIME_BOUND,
                               ) -> CommensurabilityReport:
-    """Decide congruence-completion isomorphism for the pair, with caveats."""
+    """Decide congruence-completion isomorphism for the pair, with caveats.
+
+    Local equivalence is ``genus_first_failure``'s closed rule, which
+    covers every finite place; its first failing place is the witness.
+    """
     first = SpinGroupDescriptor(m, n)
     second = SpinGroupDescriptor(m2, n2)
-    failure = genus_first_failure(m, n, m2, n2, prime_bound)
+    failure = genus_first_failure(m, n, m2, n2)
     equal = failure is None
-    witness = f"all p <= {prime_bound} pass" if equal else failure
+    # the rule holds at every p; the text is kept so the CLI JSON is unchanged
+    witness = "all p <= 100 pass" if equal else failure
 
     w1 = witt_index_rational(first.form())
     w2 = witt_index_rational(second.form())
@@ -88,12 +92,21 @@ class SweepReport:
     chi_ratio_notes: tuple[str, ...]
 
 
-def _descriptors(d: int) -> list[tuple[int, int]]:
-    return [(m, d - m) for m in range(1, d)]
+def _equivalent_pairs(d_max: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """Locally equivalent signature pairs (a, b) of equal d in 3..d_max.
+
+    Ordered by d, then by a, then by b, with a before b in the order
+    (1, d-1), (2, d-2), ..., (d-1, 1).
+    """
+    if d_max < 3:
+        raise ValueError("need d_max >= 3")
+    return ((a, b) for d in range(3, d_max + 1)
+            for a, b in itertools.combinations(
+                [(m, d - m) for m in range(1, d)], 2)
+            if genus_first_failure(*a, *b) is None)
 
 
-def sweep_theorem_frank_dim(d_max: int,
-                            prime_bound: int = GENUS_PRIME_BOUND) -> SweepReport:
+def sweep_theorem_frank_dim(d_max: int) -> SweepReport:
     """Check dim-mod-4, delta and sign constraints on all equivalent pairs.
 
     Enumerates every descriptor pair of equal d <= d_max.  Classes are the
@@ -101,54 +114,38 @@ def sweep_theorem_frank_dim(d_max: int,
     notes record the observed power-of-2 pattern for delta = 0 classes;
     they are data, not assertions.
     """
-    if d_max < 3:
-        raise ValueError("need d_max >= 3")
-    equivalent: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    equivalent = list(_equivalent_pairs(d_max))
     violations: list[str] = []
     notes: list[str] = []
-    classes: list[tuple[tuple[int, int], ...]] = []
-    pair_count = 0
-    for d in range(3, d_max + 1):
-        descs = _descriptors(d)
-        partition: list[list[tuple[int, int]]] = []
-        for mn in descs:
-            home = None
-            for cls in partition:
-                if genus_first_failure(*cls[0], *mn, prime_bound) is None:
-                    home = cls
-                    break
-            if home is None:
-                partition.append([mn])
-            else:
-                home.append(mn)
-        classes.extend(tuple(cls) for cls in partition if len(cls) > 1)
-        for i, a in enumerate(descs):
-            for b in descs[i + 1:]:
-                pair_count += 1
-                if genus_first_failure(*a, *b, prime_bound) is not None:
-                    continue
-                equivalent.append((a, b))
-                if (a[0] * a[1] - b[0] * b[1]) % 4:
-                    violations.append(f"{a}/{b}: dim X not equal mod 4")
-                da = SpinGroupDescriptor(*a).delta
-                db = SpinGroupDescriptor(*b).delta
-                if da != db:
-                    violations.append(f"{a}/{b}: delta mismatch")
-                ca, cb = chi_closed(*a), chi_closed(*b)
-                if ca.sign != cb.sign:
-                    violations.append(f"{a}/{b}: sign mismatch")
-                if ca.value and cb.value:
-                    ratio = ca.value / cb.value
-                    two_power = abs(ratio.numerator) == 1 or abs(ratio.denominator) == 1
-                    two_power = two_power and (
-                        abs(ratio.numerator * ratio.denominator).bit_count() == 1)
-                    notes.append(f"{a}/{b}: chi ratio {ratio}"
-                                 + ("" if two_power else " (not a power of 2)"))
+    # a class's least member pairs with every other member before any of
+    # them pairs onward, so a first member never yet seen as b heads a class
+    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    members: set[tuple[int, int]] = set()
+    for a, b in equivalent:
+        if a not in members:
+            classes.setdefault(a, [a]).append(b)
+            members.add(b)
+        if (a[0] * a[1] - b[0] * b[1]) % 4:
+            violations.append(f"{a}/{b}: dim X not equal mod 4")
+        da = SpinGroupDescriptor(*a).delta
+        db = SpinGroupDescriptor(*b).delta
+        if da != db:
+            violations.append(f"{a}/{b}: delta mismatch")
+        ca, cb = chi_closed(*a), chi_closed(*b)
+        if ca.sign != cb.sign:
+            violations.append(f"{a}/{b}: sign mismatch")
+        if ca.value and cb.value:
+            ratio = ca.value / cb.value
+            two_power = abs(ratio.numerator) == 1 or abs(ratio.denominator) == 1
+            two_power = two_power and (
+                abs(ratio.numerator * ratio.denominator).bit_count() == 1)
+            notes.append(f"{a}/{b}: chi ratio {ratio}"
+                         + ("" if two_power else " (not a power of 2)"))
     return SweepReport(
         d_max=d_max,
-        pair_count=pair_count,
+        pair_count=math.comb(d_max, 3),  # sum of C(d - 1, 2) over d = 3..d_max
         equivalent_pairs=tuple(equivalent),
-        classes=tuple(classes),
+        classes=tuple(tuple(cls) for cls in classes.values()),
         violations=tuple(violations),
         chi_ratio_notes=tuple(notes),
     )
@@ -162,24 +159,15 @@ class ChiMismatchPair:
     chi_second: Fraction
 
 
-def sweep_euler_not_profinite(d_max: int,
-                              prime_bound: int = GENUS_PRIME_BOUND,
-                              ) -> list[ChiMismatchPair]:
+def sweep_euler_not_profinite(d_max: int) -> list[ChiMismatchPair]:
     """Locally-equivalent pairs whose (nonzero) chi values differ.
 
     Each entry shows chi is not determined by the profinite completion.
     Empty lists are a legitimate outcome for small d_max.
     """
-    if d_max < 3:
-        raise ValueError("need d_max >= 3")
     out: list[ChiMismatchPair] = []
-    for d in range(3, d_max + 1):
-        descs = _descriptors(d)
-        for i, a in enumerate(descs):
-            for b in descs[i + 1:]:
-                if genus_first_failure(*a, *b, prime_bound) is not None:
-                    continue
-                ca, cb = chi_closed(*a).value, chi_closed(*b).value
-                if ca and cb and ca != cb:
-                    out.append(ChiMismatchPair(a, b, ca, cb))
+    for a, b in _equivalent_pairs(d_max):
+        ca, cb = chi_closed(*a).value, chi_closed(*b).value
+        if ca and cb and ca != cb:
+            out.append(ChiMismatchPair(a, b, ca, cb))
     return out

@@ -17,20 +17,18 @@ and for p = 2, with eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2,
 
     (a, b)_2 = (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u)).
 
-Two Z-forms of full rank lie in the same genus at every finite place
-iff they have equal rank, equal discriminant square class at every odd
-p, and (being odd unimodular at 2) equal determinant mod 8 square
-classes and equal signature difference m - n mod 8.
+The +-1 forms <1^m, (-1)^n> are odd unimodular Z-lattices, and their
+genus at the finite places is fixed by the rank d = m + n and n mod 4
+(``genus_first_failure``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
-from .exactq import FactoredInteger, factor, is_prime, primes_up_to
+from .exactq import factor, is_prime
 
 Scalar = int | Fraction
 
@@ -359,40 +357,32 @@ def fp_type(m: int, n: int, p: int) -> int:
     return -1 if twisted and p % 4 == 3 else 1
 
 
-@lru_cache(maxsize=None)
-def _pm_hasse(m: int, n: int, prime: Optional[int]) -> int:
-    return hasse_invariant(DiagonalForm.pm(m, n), Place(prime))
-
-
-def genus_equal_finite_places(m: int, n: int, m2: int, n2: int,
-                              prime_bound: int = 100) -> bool:
+def genus_equal_finite_places(m: int, n: int, m2: int, n2: int) -> bool:
     """Z_p-equivalence of <1^m,(-1)^n> and <1^m2,(-1)^n2> at all finite p.
 
-    Odd unimodular lattices: equal rank; at odd p equal discriminant
-    square class, i.e. n = n2 mod 2; at 2 equal determinant mod 8 and
-    equal m - n mod 8.  A Q_p-invariant sweep over p <= prime_bound is
-    run as a safety net (Z_p-equivalence implies Q_p-equivalence).
+    The closed rule of ``genus_first_failure``: equal rank and n = n2 mod 4.
     """
-    return genus_first_failure(m, n, m2, n2, prime_bound) is None
+    return genus_first_failure(m, n, m2, n2) is None
 
 
-def genus_first_failure(m: int, n: int, m2: int, n2: int,
-                        prime_bound: int = 100) -> Optional[str]:
-    """First failing finite place as a string, or None if genus-equal."""
+def genus_first_failure(m: int, n: int, m2: int, n2: int) -> Optional[str]:
+    """First failing finite place as a string, or None if genus-equal.
+
+    Both forms are odd unimodular Z-lattices (Conway-Sloane, SPLAG ch. 15).
+    They are Z_p-equivalent at every finite p iff the ranks agree
+    ("rank"); the determinants (-1)^n, (-1)^n2 agree in Q_p^*/squares at
+    every odd p, i.e. n = n2 mod 2, first failing at p = 3, the least p
+    where -1 is not a square ("p=3"); and at p = 2 the determinants mod 8
+    and the oddities m - n mod 8 agree, which at equal rank and parity
+    means n = n2 mod 4 ("p=2").
+    """
     for mm, nn in ((m, n), (m2, n2)):
         if mm < 1 or nn < 1:
             raise ValueError("need m, n >= 1")
     if m + n != m2 + n2:
         return "rank"
-    for p in primes_up_to(prime_bound)[1:]:
-        if square_class_key((-1) ** n, p) != square_class_key((-1) ** n2, p):
-            return f"p={p}"
-    det_differs = ((-1) ** n - (-1) ** n2) % 8
-    oddity_differs = ((m - n) - (m2 - n2)) % 8
-    if det_differs or oddity_differs:
+    if (n - n2) % 2:
+        return "p=3"
+    if (n - n2) % 4:
         return "p=2"
-    for p in primes_up_to(prime_bound):
-        if (square_class_key((-1) ** n, p) != square_class_key((-1) ** n2, p)
-                or _pm_hasse(m, n, p) != _pm_hasse(m2, n2, p)):
-            return f"p={p}"
     return None

@@ -16,8 +16,6 @@ import random
 import time
 from fractions import Fraction
 
-from test_qforms import hilbert_bruteforce
-
 from spinchi.clifford import (
     ZZ,
     CliffordElement,
@@ -45,6 +43,7 @@ from spinchi.ggroups import (
     spin_order_fp,
     weyl_ratio,
 )
+from spinchi.oracles import hilbert_bruteforce
 from spinchi.qforms import DiagonalForm, hilbert_symbol, witt_index
 from spinchi.euler import r_factor
 from spinchi.profinite import sweep_theorem_frank_dim

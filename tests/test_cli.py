@@ -106,6 +106,47 @@ def test_compare_inequivalent_pair(capsys):
     assert record["verdict"] == "not locally equivalent"
 
 
+def test_compare_json_lines_are_frozen(capsys):
+    rows = {
+        ("8", "2", "4", "6"):
+            '{"first": {"m": 8, "n": 2, "chi": "2^89 * 5^2 * 17", "sign": 1}, '
+            '"second": {"m": 4, "n": 6, "chi": "2^90 * 5^2 * 17", "sign": 1}, '
+            '"locally_equivalent": true, "witness": "all p <= 100 pass", '
+            '"csp_note": "rational Witt indices 2 and 4: both >= 2, congruence '
+            'kernels trivial (Kneser)", "dim_mod4_consistent": true, '
+            '"delta_consistent": true, "verdict": "profinitely commensurable"}',
+        ("8", "2", "9", "1"):
+            '{"first": {"m": 8, "n": 2, "chi": "2^89 * 5^2 * 17", "sign": 1}, '
+            '"second": {"m": 9, "n": 1, "chi": "0", "sign": 0}, '
+            '"locally_equivalent": false, "witness": "p=3", '
+            '"csp_note": "rational Witt indices 2 and 1: some < 2, congruence '
+            'kernel not controlled here", "dim_mod4_consistent": false, '
+            '"delta_consistent": false, "verdict": "not locally equivalent"}',
+        ("2", "2", "2", "3"):
+            '{"first": {"m": 2, "n": 2, "chi": "2^9", "sign": 1}, '
+            '"second": {"m": 2, "n": 3, "chi": "-2^16", "sign": -1}, '
+            '"locally_equivalent": false, "witness": "rank", '
+            '"csp_note": "rational Witt indices 2 and 2: both >= 2, congruence '
+            'kernels trivial (Kneser)", "dim_mod4_consistent": false, '
+            '"delta_consistent": true, "verdict": "not locally equivalent"}',
+        ("5", "5", "1", "9"):
+            '{"first": {"m": 5, "n": 5, "chi": "0", "sign": 0}, '
+            '"second": {"m": 1, "n": 9, "chi": "0", "sign": 0}, '
+            '"locally_equivalent": true, "witness": "all p <= 100 pass", '
+            '"csp_note": "rational Witt indices 5 and 1: some < 2, congruence '
+            'kernel not controlled here", "dim_mod4_consistent": true, '
+            '"delta_consistent": true, "verdict": "locally equivalent '
+            '(commensurability conditional on congruence kernel)"}',
+    }
+    for argv, line in rows.items():
+        code, out, _ = run(capsys, "compare", *argv)
+        assert code == 0
+        assert out == line + "\n"
+    code, _, err = run(capsys, "compare", "8", "2", "4", "6", "--prime-bound", "50")
+    assert code == 2
+    assert "--prime-bound" in err
+
+
 def test_table_csv_row_count(capsys):
     code, out, _ = run(capsys, "table", "--csv", "--d-max", "10")
     assert code == 0

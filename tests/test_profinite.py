@@ -1,7 +1,7 @@
 """Tests for profinite commensurability reports and the dimension sweeps.
 
-The sweep outcomes at d_max = 14 are frozen (pair count, number of
-multi-member classes, zero violations); the specific discoveries the
+The sweep outcomes at d_max = 14 and 20 are frozen (pair count, number
+of multi-member classes and of equivalent pairs, zero violations); the specific discoveries the
 sweep must make, such as the (8,2)/(4,6) class and a class of vanishing
 chi containing (5,5) and (1,9), are asserted explicitly.
 """
@@ -66,12 +66,19 @@ def test_report_rank_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_sweep_d14_frozen_outcome():
-    report = sweep_theorem_frank_dim(14)
-    assert report.d_max == 14
-    assert report.pair_count == 364
-    assert len(report.classes) == 30
-    assert report.violations == ()
-    assert all(len(cls) > 1 for cls in report.classes)
+    # d_max: pair count, classes, equivalent pairs, chi-ratio notes and
+    # sweep_euler_not_profinite pairs
+    frozen = {14: (364, 30, 61, 39, 30), 20: (1140, 54, 220, 150, 128)}
+    for d_max, (pairs, classes, equivalent, notes, mismatches) in frozen.items():
+        report = sweep_theorem_frank_dim(d_max)
+        assert report.d_max == d_max
+        assert report.pair_count == pairs
+        assert len(report.classes) == classes
+        assert len(report.equivalent_pairs) == equivalent
+        assert len(report.chi_ratio_notes) == notes
+        assert report.violations == ()
+        assert all(len(cls) > 1 for cls in report.classes)
+        assert len(sweep_euler_not_profinite(d_max)) == mismatches
 
 
 def test_sweep_discovers_the_required_classes():

@@ -1,21 +1,25 @@
 """Tests for local and global invariants of diagonal quadratic forms.
 
-The Hilbert symbol is checked against a brute-force oracle that searches
-for solutions of z^2 = a x^2 + b y^2 modulo p^4 (2^6 at p = 2) with one
-coordinate normalized to a unit; by the strong form of Hensel's lemma
-any such solution lifts to Q_p when a and b are squarefree, and every
-Q_p-solution reduces to one, so the oracle is exact.  The 2-adic part of
-the genus criterion is validated against an exhaustive search for a
-change of basis modulo 8 at small rank.
+The Hilbert symbol is checked against ``spinchi.oracles.hilbert_bruteforce``,
+which searches for solutions of z^2 = a x^2 + b y^2 modulo p^4 (2^6 at
+p = 2) with one coordinate normalized to a unit; by the strong form of
+Hensel's lemma any such solution lifts to Q_p when a and b are
+squarefree, and every Q_p-solution reduces to one, so the oracle is
+exact.  The 2-adic part of the genus criterion is validated against an
+exhaustive search for a change of basis modulo 8 at small rank, and the
+closed genus rule against Q_p-invariants at every p <= 100.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from spinchi.exactq import primes_up_to
+from spinchi.oracles import hilbert_bruteforce
 from spinchi.qforms import (
     INFINITE_PLACE,
     DiagonalForm,
@@ -54,41 +58,6 @@ def naive_squarefree(n: int) -> int:
             out *= d
         d += 1
     return sign * out * n
-
-
-_SQUARES_CACHE: dict[int, frozenset[int]] = {}
-
-
-def _squares_mod(modulus: int) -> frozenset[int]:
-    if modulus not in _SQUARES_CACHE:
-        _SQUARES_CACHE[modulus] = frozenset(x * x % modulus for x in range(modulus))
-    return _SQUARES_CACHE[modulus]
-
-
-def hilbert_bruteforce(a: int, b: int, prime: int | None) -> int:
-    """(a,b)_v by exhaustive search for z^2 = a x^2 + b y^2.
-
-    Works modulo p^4 (64 at p = 2) after reducing a, b to squarefree
-    representatives; one coordinate is normalized to 1 per sweep, which
-    covers all primitive solutions and keeps each sweep linear in the
-    modulus.
-    """
-    a, b = naive_squarefree(a), naive_squarefree(b)
-    if prime is None:
-        return -1 if a < 0 and b < 0 else 1
-    modulus = 64 if prime == 2 else prime ** 4
-    squares = _squares_mod(modulus)
-    a_squares = frozenset(a * s % modulus for s in squares)
-    for y in range(modulus):
-        if (a + b * y * y) % modulus in squares:  # x normalized to 1
-            return 1
-    for x in range(modulus):
-        if (b + a * x * x) % modulus in squares:  # y normalized to 1
-            return 1
-    for y in range(modulus):
-        if (1 - b * y * y) % modulus in a_squares:  # z normalized to 1
-            return 1
-    return -1
 
 
 def _det_odd(columns: list[tuple[int, ...]]) -> bool:
@@ -460,6 +429,29 @@ def test_genus_criterion_is_reflexive_and_symmetric():
         m2, n2 = rng.choice(pairs)
         assert genus_equal_finite_places(m, n, m2, n2) == \
             genus_equal_finite_places(m2, n2, m, n)
+
+
+@functools.cache
+def _pm_local_invariants(m: int, n: int, p: int):
+    return local_invariants(DiagonalForm.pm(m, n), p)
+
+
+def test_genus_rule_against_qp_invariants_up_to_100():
+    # Z_p-equivalence implies Q_p-equivalence, and for +-1 forms the
+    # converse holds too: the closed rule must agree with a sweep of the
+    # Q_p invariants (dimension, discriminant class, Hasse) over p <= 100.
+    primes = primes_up_to(100)
+    sigs = {d: [(m, d - m) for m in range(1, d)] for d in range(3, 14)}
+    pairs = [(a, b) for d in range(3, 13) for a in sigs[d]
+             for b in sigs[d] + sigs[d + 1]]
+    pairs += [(b, a) for a, b in pairs if sum(a) != sum(b)]
+    for a, b in pairs:
+        failing = [p for p in primes
+                   if _pm_local_invariants(*a, p) != _pm_local_invariants(*b, p)]
+        witness = genus_first_failure(*a, *b)
+        assert (witness is None) == (not failing), (a, b, witness, failing)
+        if witness is not None and witness.startswith("p="):
+            assert int(witness[2:]) in failing, (a, b, witness, failing)
 
 
 def test_two_adic_criterion_against_mod8_search_rank2_and_3():
