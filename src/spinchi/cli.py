@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import random
 import sys
 from fractions import Fraction

@@ -15,10 +15,9 @@ algebra for exp, 1 + 4*C_0 for log) and raises TwoAdicIntegralityError.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 Blade = int
 

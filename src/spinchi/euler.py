@@ -13,10 +13,15 @@ with the dimension-only factor
     R(d) = 2^(5l^2 - 5l + 1) * |B_{psi,l}| / l                 d = 2 mod 4
     R(d) = 2^(5l^2)         * (2^(d-1) - 1)  * |zeta(2-d)|     d odd.
 
-R(d) and the j-product depend on d alone, so they are cached per d, both
-exactly and factored: the factorization of chi is assembled from the
-cached factored pieces (each (2^(2j)-1)|zeta(1-2j)| and |E_(l-1)|
-factored once) and C(l, k), and the full value is never factored.
+With the zigzag numbers A_i (``exactq.zigzag``), (2^(2j)-1)|zeta(1-2j)|
+= A_(2j-1) / 4^j and |B_{psi,l}| / l = A_(l-1) / 2, so chi is the integer
+
+    chi = (-1)^(mn/2) * C(l, k) * 2^a * A_t * prod_{j=1}^{l-1} A_(2j-1)
+
+with (a, t) = (4l^2 - 4l, l - 1) for even d and (4l^2 - l, d - 2) for
+odd d.  That piece list depends on d alone and gives both the cached
+value and the cached factorization (each A_i factored once), so the
+full value is never factored.
 
 ``adelic_assembly_exact`` recomputes chi from first principles as a
 product of local volumes: the normalized compact-dual volume, the
@@ -38,15 +43,13 @@ from typing import Iterable, Optional
 from .exactq import (
     Factored,
     PiExact,
-    ResidualPiPowerError,
-    euler_number,
     l_psi_exact_odd,
     primes_up_to,
     zeta_even_exact,
-    zeta_negative_odd,
+    zigzag,
 )
 from .ggroups import SpinGroupDescriptor, order_degrees, vol_compact_dual, weyl_ratio
-from .qforms import DiagonalForm, Place, fp_type_twisted, witt_index, witt_index_rational
+from .qforms import Place, fp_type_twisted, witt_index, witt_index_rational
 
 CASE_ZERO = "zero"      # m, n both odd
 CASE_0MOD4 = "0mod4"
@@ -89,71 +92,40 @@ class EulerResult:
                    * _dimension_factored(desc.d))
 
 
-def r_factor(d: int) -> Fraction:
-    """The dimension-only factor R(d), d >= 3."""
+def _dimension_pieces(d: int) -> tuple[int, tuple[int, ...]]:
+    """(a, (t, 1, 3, ..., 2l-3)): _dimension_value(d) = 2^a * prod A_i."""
+    l = d // 2
+    a, t = (4 * l * l - l, d - 2) if d % 2 else (4 * l * l - 4 * l, l - 1)
+    return a, (t, *range(1, 2 * l - 1, 2))
+
+
+def r_factor(d: int) -> int:
+    """The dimension-only factor R(d) = 2^(a + l(l-1)) A_t, d >= 3."""
     if d < 3:
         raise ValueError("need d >= 3")
     l = d // 2
-    if d % 2 == 0 and l % 2 != (0 if d % 4 == 0 else 1):
-        raise AssertionError("parity bookkeeping broke")
-    if d % 4 == 0:
-        # l even: zeta(1 - l) is a negative-odd-argument value
-        return (Fraction(2) ** (5 * l * l - 4 * l) * (2 ** l - 1)
-                * abs(zeta_negative_odd(l // 2)))
-    if d % 2 == 0:
-        # |B_{psi,l}| / l = |E_(l-1)| / 2
-        return Fraction(2) ** (5 * l * l - 5 * l) * abs(euler_number(l - 1))
-    return (Fraction(2) ** (5 * l * l) * (2 ** (d - 1) - 1)
-            * abs(zeta_negative_odd((d - 1) // 2)))
-
-
-def _odd_zeta_product(l: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(1, l):
-        out *= (2 ** (2 * j) - 1) * abs(zeta_negative_odd(j))
-    return out
+    a, (t, *_) = _dimension_pieces(d)
+    return 2 ** (a + l * (l - 1)) * zigzag(t)
 
 
 @lru_cache(maxsize=None)
-def _dimension_value(d: int) -> Fraction:
+def _dimension_value(d: int) -> int:
     """R(d) * prod_{j<l} (2^(2j)-1)|zeta(1-2j)|; chi = +-C(l, k) times this."""
-    return r_factor(d) * _odd_zeta_product(d // 2)
+    a, indices = _dimension_pieces(d)
+    return 2 ** a * math.prod(zigzag(i) for i in indices)
 
 
 @lru_cache(maxsize=None)
-def _zeta_piece(j: int) -> Factored:
-    """(2^(2j) - 1) |zeta(1 - 2j)|, factored."""
-    return Factored.of(2 ** (2 * j) - 1) * Factored.of(abs(zeta_negative_odd(j)))
+def _zigzag_factored(i: int) -> Factored:
+    return Factored.of(zigzag(i))
 
 
 @lru_cache(maxsize=None)
 def _dimension_factored(d: int) -> Factored:
-    """_dimension_value(d), assembled from factored pieces.
-
-    R(d) is a power of 2 times one piece: (2^l-1)|zeta(1-l)| is
-    _zeta_piece(l/2) and (2^(d-1)-1)|zeta(2-d)| is _zeta_piece(l).
-    """
-    l = d // 2
-    if d % 4 == 0:
-        out = Factored(1, ((2, 5 * l * l - 4 * l),)) * _zeta_piece(l // 2)
-    elif d % 2 == 0:
-        out = Factored(1, ((2, 5 * l * l - 5 * l),)) * Factored.of(abs(euler_number(l - 1)))
-    else:
-        out = Factored(1, ((2, 5 * l * l),)) * _zeta_piece(l)
-    for j in range(1, l):
-        out *= _zeta_piece(j)
-    return out
-
-
-def chi_closed(m: int, n: int) -> EulerResult:
-    """chi of the level-4 congruence subgroup of Spin(m, n), exactly."""
-    desc = SpinGroupDescriptor(m, n)
-    case = _case_tag(m, n)
-    if case == CASE_ZERO:
-        return EulerResult(desc, Fraction(0), case)
-    sign = -1 if (m * n // 2) % 2 else 1
-    value = sign * math.comb(desc.l, desc.k) * _dimension_value(desc.d)
-    return EulerResult(desc, value, case)
+    """_dimension_value(d), assembled from the factored pieces."""
+    a, indices = _dimension_pieces(d)
+    return math.prod((_zigzag_factored(i) for i in indices),
+                     start=Factored(1, ((2, a),)))
 
 
 def chi_sign(m: int, n: int) -> int:
@@ -162,6 +134,14 @@ def chi_sign(m: int, n: int) -> int:
     if m % 2 and n % 2:
         return 0
     return -1 if (m * n // 2) % 2 else 1
+
+
+def chi_closed(m: int, n: int) -> EulerResult:
+    """chi of the level-4 congruence subgroup of Spin(m, n), exactly."""
+    desc = SpinGroupDescriptor(m, n)
+    sign = chi_sign(m, n)
+    value = sign * math.comb(desc.l, desc.k) * _dimension_value(desc.d) if sign else 0
+    return EulerResult(desc, Fraction(value), _case_tag(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +174,9 @@ def adelic_assembly_exact(m: int, n: int) -> Fraction:
     ResidualPiPowerError propagates (an internal invariant violation).
     """
     desc = SpinGroupDescriptor(m, n)
-    if m % 2 and n % 2:
+    sign = chi_sign(m, n)
+    if not sign:
         raise ValueError("chi = 0 for m, n both odd; no assembly defined")
-    sign = -1 if (m * n // 2) % 2 else 1
     total = (_odd_euler_product_exact(m, n)
              * weyl_ratio(desc)
              * Fraction(2) ** (desc.d * (desc.d - 1))
@@ -246,7 +226,8 @@ def adelic_assembly_float(m: int, n: int, prime_bound: int = 10 ** 5) -> float:
     desc = SpinGroupDescriptor(m, n)
     if prime_bound < 100:
         raise ValueError("prime_bound too small to be meaningful")
-    if m % 2 and n % 2:
+    sign = chi_sign(m, n)
+    if not sign:
         return 0.0
     d = desc.d
     dual = vol_compact_dual(d)
@@ -257,7 +238,6 @@ def adelic_assembly_float(m: int, n: int, prime_bound: int = 10 ** 5) -> float:
                + d * (d - 1) * math.log(2.0)
                - log_dual
                + _log_prime_sum(d, twisted, prime_bound))
-    sign = -1.0 if (m * n // 2) % 2 else 1.0
     return sign * math.exp(log_abs)
 
 

@@ -4,8 +4,9 @@ Everything downstream (volumes, Euler characteristics, local invariants)
 reduces to exact rational numbers, rational multiples of half-integer
 powers of pi, and factored integers.  This module provides those scalars:
 
-* Bernoulli numbers and polynomials, with the convention B_1 = -1/2
-  (generating function t/(e^t - 1)).
+* The Euler zigzag numbers A_n from one integer triangle, the Bernoulli
+  numbers (B_1 = -1/2, generating function t/(e^t - 1)) and the Euler
+  numbers read off them, and the Bernoulli polynomials.
 * Generalized Bernoulli numbers B_{psi,n} for the nontrivial quadratic
   character psi mod 4.
 * Exact special values zeta(1-2j), zeta(2j), L(psi, odd), Gamma(j/2).
@@ -50,11 +51,34 @@ class ResidualPiPowerError(ArithmeticError):
 
 
 @lru_cache(maxsize=None)
+def _zigzag_block(size: int) -> tuple[int, ...]:
+    # A_0 .. A_(size-1) by the Seidel-Entringer boustrophedon: row r holds
+    # E(r, k) = E(r, k-1) + E(r-1, r-k), E(r, 0) = 0, and A_r = E(r, r).
+    row, out = [1], [1]
+    for _ in range(1, size):
+        row = list(itertools.accumulate(reversed(row), initial=0))
+        out.append(row[-1])
+    return tuple(out)
+
+
+def zigzag(n: int) -> int:
+    """Euler zigzag number A_n (OEIS A000111): 1, 1, 1, 2, 5, 16, 61, 272, ...
+
+    A_(2j) = |E_(2j)| are the secant numbers and A_(2j-1) = T_j the
+    tangent numbers.  Blocks are computed to the next power of two above
+    n and cached, so asking for n = 1..N in turn costs O(N^2) additions.
+    """
+    if n < 0:
+        raise ValueError("zigzag index must be >= 0")
+    return _zigzag_block(1 << n.bit_length())[n]
+
+
+@lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, with B_1 = -1/2.
 
-    Uses the defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 for
-    n >= 1.  B_n = 0 for odd n >= 3.
+    B_(2j) = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) with T_j = A_(2j-1) the
+    tangent numbers (``zigzag``).  B_n = 0 for odd n >= 3.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
@@ -64,10 +88,8 @@ def bernoulli(n: int) -> Fraction:
         return Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    acc = Fraction(0)
-    for k in range(n):
-        acc += math.comb(n + 1, k) * bernoulli(k)
-    return -acc / (n + 1)
+    j = n // 2
+    return Fraction((-1) ** (j - 1) * n * zigzag(n - 1), 4 ** j * (4 ** j - 1))
 
 
 def bernoulli_poly(n: int, x: Scalar) -> Fraction:
@@ -95,17 +117,14 @@ def gen_bernoulli_mod4(n: int) -> Fraction:
     return Fraction(-n * euler_number(n - 1), 2)
 
 
-@lru_cache(maxsize=None)
 def euler_number(n: int) -> int:
-    """Euler number E_n (secant numbers: E_0=1, E_2=-1, E_4=5, ...).
+    """Euler number E_n = (-1)^(n/2) A_n for even n: 1, -1, 5, -61, ...
 
-    Defined for even n by sum_{k=0}^{n/2} C(n, 2k) E_{2k} = 0.
+    The secant numbers, defined by sum_{k=0}^{n/2} C(n, 2k) E_{2k} = 0.
     """
     if n < 0 or n % 2:
         raise ValueError("Euler numbers are indexed by even n >= 0 here")
-    if n == 0:
-        return 1
-    return -sum(math.comb(n, 2 * k) * euler_number(2 * k) for k in range(n // 2))
+    return (-1) ** (n // 2) * zigzag(n)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +257,13 @@ def zeta_even_exact(j: int) -> PiExact:
 def l_psi_exact_odd(ell: int) -> PiExact:
     """L(psi, ell) for odd ell >= 1 and psi the character mod 4.
 
-    L(psi, 2k+1) = (-1)^k E_{2k} pi^(2k+1) / (4^(k+1) (2k)!).
+    L(psi, 2k+1) = A_(2k) pi^(2k+1) / (4^(k+1) (2k)!), A_(2k) = |E_(2k)|.
     L(psi,1) = pi/4, L(psi,3) = pi^3/32, L(psi,5) = 5 pi^5 / 1536.
     """
     if ell < 1 or ell % 2 == 0:
         raise ValueError("need odd ell >= 1")
     k = (ell - 1) // 2
-    coeff = Fraction((-1) ** k * euler_number(2 * k),
-                     4 ** (k + 1) * math.factorial(2 * k))
+    coeff = Fraction(zigzag(2 * k), 4 ** (k + 1) * math.factorial(2 * k))
     return PiExact(coeff, 2 * ell)
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import product
 
 from .exactq import PiExact, gamma_half, is_prime
-from .qforms import DiagonalForm, fp_type
+from .qforms import DiagonalForm, fp_type_twisted
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,10 @@ def spin_order_fp(desc: SpinGroupDescriptor, p: int) -> int:
     if p == 2 or not is_prime(p):
         raise ValueError("need an odd prime")
     a, degrees = order_degrees(desc.d)
+    twisted = desc.d % 2 == 0 and fp_type_twisted(desc.m, desc.n)
     order = p ** a
-    for e, typed in degrees:
-        order *= p ** e - (fp_type(desc.m, desc.n, p) if typed else 1)
+    for e, typed in degrees:  # t = fp_type(m, n, p) for the typed degree
+        order *= p ** e - (-1 if typed and twisted and p % 4 == 3 else 1)
     return order
 
 

@@ -5,6 +5,7 @@ the exit codes and the exact JSON/CSV shapes are pinned down.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -156,6 +157,14 @@ def test_table_csv_row_count(capsys):
     assert len(lines) == 45
     row82 = next(line for line in lines if line.startswith("8,2,"))
     assert "2^89 * 5^2 * 17" in row82
+
+
+def test_table_csv_d36_is_frozen(capsys):
+    # the whole CSV, pinned by its sha256
+    code, out, _ = run(capsys, "table", "--d-max", "36", "--csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "832a6ceb99b6fd62803c3bb5605f54bde49d857a52fda0f48861f730ab24d841"
 
 
 def test_table_json_lines(capsys):

@@ -13,7 +13,9 @@ from fractions import Fraction
 
 import pytest
 
+from spinchi import euler
 from spinchi.euler import (
+    _dimension_value,
     _log_prime_sum,
     CASE_0MOD4,
     CASE_2MOD4,
@@ -30,7 +32,13 @@ from spinchi.euler import (
     rho_product,
     s_arithmetic_sign,
 )
-from spinchi.exactq import format_factored, is_prime, primes_up_to, zeta_negative_odd
+from spinchi.exactq import (
+    euler_number,
+    format_factored,
+    is_prime,
+    primes_up_to,
+    zeta_negative_odd,
+)
 from spinchi.ggroups import SpinGroupDescriptor, order_degrees, spin_order_fp
 from spinchi.qforms import fp_type_twisted
 
@@ -40,6 +48,19 @@ def _odd_product(l: int) -> Fraction:
     for j in range(1, l):
         out *= (2 ** (2 * j) - 1) * abs(zeta_negative_odd(j))
     return out
+
+
+def _r_factor_three_cases(d: int) -> Fraction:
+    """R(d) by the three-case table in zeta and Euler-number values."""
+    l = d // 2
+    if d % 4 == 0:
+        return (Fraction(2) ** (5 * l * l - 4 * l) * (2 ** l - 1)
+                * abs(zeta_negative_odd(l // 2)))
+    if d % 2 == 0:
+        # |B_{psi,l}| / l = |E_(l-1)| / 2
+        return Fraction(2) ** (5 * l * l - 5 * l) * abs(euler_number(l - 1))
+    return (Fraction(2) ** (5 * l * l) * (2 ** (d - 1) - 1)
+            * abs(zeta_negative_odd((d - 1) // 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +139,15 @@ def test_odd_product_frozen_value():
     assert _odd_product(5) == Fraction(17, 2 ** 11)
 
 
+def test_zigzag_pieces_match_three_case_formula():
+    for d in range(3, 61):
+        want = _r_factor_three_cases(d)
+        assert r_factor(d) == want, d
+        value = _dimension_value(d)
+        assert isinstance(value, int), d
+        assert value == want * _odd_product(d // 2), d
+
+
 def test_chi_decomposes_through_r_factor():
     # chi(8,2) = + R(10) * C(5,4) * prod_{j<=4} (2^2j - 1)|zeta(1-2j)|
     assert chi_closed(8, 2).value == r_factor(10) * 5 * _odd_product(5)
@@ -133,6 +163,16 @@ def test_chi_sign_values():
     assert chi_sign(3, 3) == 0
     assert chi_sign(6, 2) == 1   # mn/2 even whenever m, n are both even
     assert chi_sign(6, 1) == -1  # mn/2 = 3
+
+
+def test_sign_rule_read_from_chi_sign(monkeypatch):
+    # chi_closed and both assemblies take their sign from chi_sign alone.
+    monkeypatch.setattr(euler, "chi_sign", lambda m, n: -chi_sign(m, n))
+    for m, n in ((8, 2), (2, 1), (2, 2), (4, 3)):
+        true_sign = chi_sign(m, n)  # the unpatched rule imported above
+        assert chi_closed(m, n).value * true_sign < 0
+        assert euler.adelic_assembly_exact(m, n) * true_sign < 0
+        assert euler.adelic_assembly_float(m, n, 1000) * true_sign < 0
 
 
 def test_chi_symmetry_and_sign_consistency():

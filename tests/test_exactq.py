@@ -16,6 +16,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from spinchi import exactq
 from spinchi.exactq import (
     _TRIAL_BOUND,
     Factored,
@@ -35,6 +36,7 @@ from spinchi.exactq import (
     primes_up_to,
     zeta_even_exact,
     zeta_negative_odd,
+    zigzag,
 )
 
 
@@ -42,18 +44,21 @@ from spinchi.exactq import (
 # independent oracles
 # ---------------------------------------------------------------------------
 
-def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
-    """Bernoulli number by the Akiyama-Tanigawa triangle.
+def bernoulli_akiyama_tanigawa(n_max: int) -> list[Fraction]:
+    """B_0, ..., B_n_max by the Akiyama-Tanigawa triangle.
 
-    The triangle natively produces the B_1 = +1/2 convention; the
-    library uses B_1 = -1/2, so the caller must flip that single value.
+    After step m the first entry of the row is B_m.  The triangle
+    natively produces the B_1 = +1/2 convention; the library uses
+    B_1 = -1/2, so the caller must flip that single value.
     """
-    row = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
+    row = [Fraction(0)] * (n_max + 1)
+    out = []
+    for m in range(n_max + 1):
         row[m] = Fraction(1, m + 1)
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
-    return row[0]
+        out.append(row[0])
+    return out
 
 
 def zeta_series_float(s: int, terms: int) -> float:
@@ -94,11 +99,33 @@ def pi_exact_to_mpf(x: PiExact) -> mpmath.mpf:
 # ---------------------------------------------------------------------------
 
 def test_bernoulli_matches_akiyama_tanigawa():
-    for n in range(0, 40):
-        expected = bernoulli_akiyama_tanigawa(n)
+    for n, expected in enumerate(bernoulli_akiyama_tanigawa(120)):
         if n == 1:
             expected = -expected
         assert bernoulli(n) == expected, n
+
+
+def test_zigzag_frozen_values():
+    # OEIS A000111
+    expected = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792,
+                2702765, 22368256, 199360981, 1903757312, 19391512145]
+    assert [zigzag(n) for n in range(len(expected))] == expected
+    with pytest.raises(ValueError):
+        zigzag(-1)
+
+
+def test_zigzag_blocks_are_powers_of_two():
+    # Asking for n = 0..N in turn builds one triangle per power of two
+    # up to 2N, so the total work is O(N^2) additions.  bernoulli(n) reads
+    # A_(n-1) for even n >= 2, so the blocks have sizes 2, 4, ..., 1024.
+    exactq._zigzag_block.cache_clear()
+    bernoulli.cache_clear()
+    for n in range(1001):
+        bernoulli(n)
+    info = exactq._zigzag_block.cache_info()
+    assert info.currsize == info.misses == 10
+    assert len(exactq._zigzag_block(1024)) == 1024
+    assert exactq._zigzag_block.cache_info().misses == 10
 
 
 def test_bernoulli_frozen_values():
@@ -153,6 +180,14 @@ def test_euler_numbers_against_secant_series():
         for k in range(0, 16)
     )
     assert abs(partial - 1.0 / math.cos(x)) < 1e-14
+
+
+def test_euler_numbers_satisfy_defining_recurrence():
+    # the defining recurrence sum_{k=0}^{n/2} C(n, 2k) E_{2k} = 0, even n >= 2
+    assert euler_number(0) == 1
+    for n in range(2, 121, 2):
+        assert sum(math.comb(n, 2 * k) * euler_number(2 * k)
+                   for k in range(n // 2 + 1)) == 0, n
 
 
 def test_euler_number_rejects_odd_index():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinchi import exactq, ggroups, qforms
 from spinchi.exactq import PiExact, gamma_half
 from spinchi.ggroups import (
     SpinGroupDescriptor,
@@ -141,6 +142,22 @@ def test_spin_order_type_dependence():
         for j in range(1, 4):
             expected *= p ** (2 * j) - 1
         assert spin_order_fp(desc2, p) == expected
+
+
+def test_spin_order_tests_primality_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return exactq.is_prime(n)
+
+    monkeypatch.setattr(ggroups, "is_prime", counting_is_prime)
+    monkeypatch.setattr(qforms, "is_prime", counting_is_prime)
+    for m, n in ((8, 2), (6, 2), (3, 1), (4, 1)):
+        for p in (3, 5, 7, 13):
+            calls.clear()
+            spin_order_fp(SpinGroupDescriptor(m, n), p)
+            assert calls == [p], (m, n, p)
 
 
 def test_spin_order_rejects_bad_primes():
