@@ -1,16 +1,21 @@
 """Clifford algebras of diagonal forms x_1^2+..+x_m^2 - x_{m+1}^2-..-x_d^2.
 
 Blades are bitmasks: bit i-1 set means the generator e_i is present, so
-e({1,2}) is the mask 0b11.  The sign of a blade product is computed from
-the inversion count of the concatenation plus one -1 per repeated index
-with negative square.  Everything is generic over a coefficient ring; we
-only ever need the ring operations listed on ``CoefficientRing``, which
-keeps Z, Q, F_p, Z/2^N and dual numbers on one code path.
+e({1,2}) is the mask 0b11.  The sign of e(J) e(K) is the parity of the
+inversions of the concatenation plus one -1 per repeated index with
+negative square; a product folds both into one sign mask per left blade
+J, so each term costs an AND and a popcount.  Everything is generic over
+a coefficient ring; we only ever need the ring operations listed on
+``CoefficientRing``, which keeps Z, Q, F_p, Z/2^N and dual numbers on one
+code path.  Rings whose elements are Python numbers accumulate a product
+with native + and - and reduce once per output blade.
 
-The 2-adic exponential and logarithm work with exact rationals and only
-reduce mod 2^N at the end; a coefficient with even denominator on the
-way out means the input was not in the domain (4 times the integral Lie
-algebra for exp, 1 + 4*C_0 for log) and raises TwoAdicIntegralityError.
+The 2-adic exponential and logarithm check their input up front (4 times
+the integral Lie algebra for exp, 1 + 4*C_0 for log, else
+TwoAdicIntegralityError), then run the truncated series over Z/2^K,
+dividing by k exactly: shift out v_2(k), multiply by the inverse of the
+odd part.  K exceeds the requested precision by the most bits a
+division can cost, so the result reduced mod 2^bits is exact.
 """
 from __future__ import annotations
 
@@ -57,14 +62,7 @@ def blade_from_indices(indices: Iterable[int]) -> Blade:
 
 
 def blade_indices(blade: Blade) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while blade:
-        if blade & 1:
-            out.append(i)
-        blade >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in range(blade.bit_length()) if blade >> i & 1)
 
 
 def blade_str(blade: Blade) -> str:
@@ -88,16 +86,16 @@ def blade_mul(j: Blade, k: Blade, sig: Signature) -> tuple[int, Blade]:
     return sign, j ^ k
 
 
-def _grade_sign(card: int) -> int:
-    return -1 if card & 1 else 1
+def sign_mask(j: Blade, m: int) -> int:
+    """S with e(J) e(K) = (-1)^popcount(S & K) e(J xor K) for every K.
 
-
-def _iota_sign(card: int) -> int:
-    return -1 if (card * (card - 1) // 2) & 1 else 1
-
-
-def _conjugate_sign(card: int) -> int:
-    return -1 if (card * (card + 1) // 2) & 1 else 1
+    Bit i of S is the parity of the bits of J above i (the inversions
+    e_{i+1} makes with J), xor bit i of J when i >= m (e_{i+1}^2 = -1).
+    """
+    s = j >> 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        s ^= s >> shift
+    return s ^ (j >> m << m)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +107,12 @@ class CoefficientRing:
 
     ``ann2_generators`` returns generators of {a : 2a = 0}; that is what
     the even Clifford Lie algebra needs beyond the grade-2 part.
+    ``native`` rings store Python numbers whose own +, - and * agree with
+    the ring's up to ``from_int``, which reduces any such result.
     """
 
     name = "ring"
+    native = False
     zero: Any
     one: Any
 
@@ -149,6 +150,7 @@ class CoefficientRing:
 
 class IntegerRing(CoefficientRing):
     name = "Z"
+    native = True
     zero = 0
     one = 1
 
@@ -174,35 +176,10 @@ class RationalRing(IntegerRing):
         return Fraction(k)
 
 
-class PrimeField(CoefficientRing):
-    """F_p, elements stored as ints in [0, p)."""
-
-    def __init__(self, p: int):
-        if p < 2:
-            raise ValueError("p must be prime")
-        self.p = p
-        self.name = f"F_{p}"
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def from_int(self, k):
-        return k % self.p
-
-    def ann2_generators(self):
-        return (self.one,) if self.p == 2 else ()
-
-
 class ModularRing(CoefficientRing):
     """Z/modulus, elements stored as ints in [0, modulus)."""
+
+    native = True
 
     def __init__(self, modulus: int):
         if modulus < 2:
@@ -226,9 +203,18 @@ class ModularRing(CoefficientRing):
 
     def ann2_generators(self):
         # a with 2a = 0: generated by modulus/2 when the modulus is even
-        if self.modulus % 2 == 0:
-            return (self.modulus // 2,)
-        return ()
+        return () if self.modulus % 2 else (self.modulus // 2,)
+
+
+class PrimeField(ModularRing):
+    """F_p = Z/p, elements stored as ints in [0, p)."""
+
+    def __init__(self, p: int):
+        if p < 2:
+            raise ValueError("p must be prime")
+        super().__init__(p)
+        self.p = p
+        self.name = f"F_{p}"
 
 
 class DualNumbers(CoefficientRing):
@@ -340,16 +326,30 @@ class CliffordElement:
         if not isinstance(other, CliffordElement):
             return self.scale(other)
         self._compat(other)
-        ring = self.ring
+        ring, m = self.ring, self.sig.m
+        right = other.coeffs.items()
         out: dict[Blade, Any] = {}
-        for b1, c1 in self.coeffs.items():
-            for b2, c2 in other.coeffs.items():
-                sign, b = blade_mul(b1, b2, self.sig)
-                term = ring.mul(c1, c2)
-                if sign < 0:
-                    term = ring.neg(term)
-                out[b] = ring.add(out.get(b, ring.zero), term)
-        return CliffordElement(self.sig, self.ring, out)
+        get = out.get
+        if ring.native:
+            for b1, c1 in self.coeffs.items():
+                s = sign_mask(b1, m)
+                for b2, c2 in right:
+                    b = b1 ^ b2
+                    if (s & b2).bit_count() & 1:
+                        out[b] = get(b, 0) - c1 * c2
+                    else:
+                        out[b] = get(b, 0) + c1 * c2
+            out = {b: ring.from_int(c) for b, c in out.items()}
+        else:
+            for b1, c1 in self.coeffs.items():
+                s = sign_mask(b1, m)
+                for b2, c2 in right:
+                    b = b1 ^ b2
+                    term = ring.mul(c1, c2)
+                    if (s & b2).bit_count() & 1:
+                        term = ring.neg(term)
+                    out[b] = ring.add(get(b, ring.zero), term)
+        return CliffordElement(self.sig, ring, out)
 
     def __rmul__(self, other) -> "CliffordElement":
         # ring scalars commute with everything
@@ -362,23 +362,23 @@ class CliffordElement:
             self.sig, self.ring,
             {b: self.ring.mul(c, v) for b, v in self.coeffs.items()})
 
-    def _signed_map(self, sign_of_card) -> "CliffordElement":
-        out = {}
-        for b, c in self.coeffs.items():
-            out[b] = c if sign_of_card(b.bit_count()) > 0 else self.ring.neg(c)
-        return CliffordElement(self.sig, self.ring, out)
+    def _signed_map(self, flips) -> "CliffordElement":
+        """Negate the blades of grade c with flips(c) odd."""
+        return CliffordElement(self.sig, self.ring, {
+            b: self.ring.neg(c) if flips(b.bit_count()) & 1 else c
+            for b, c in self.coeffs.items()})
 
     def iota(self) -> "CliffordElement":
         """Anti-automorphism reversing products of generators."""
-        return self._signed_map(_iota_sign)
+        return self._signed_map(lambda c: c * (c - 1) // 2)
 
     def grade_involution(self) -> "CliffordElement":
         """Automorphism e_i -> -e_i."""
-        return self._signed_map(_grade_sign)
+        return self._signed_map(lambda c: c)
 
     def conjugate(self) -> "CliffordElement":
         """Clifford conjugation: iota composed with the grade involution."""
-        return self._signed_map(_conjugate_sign)
+        return self._signed_map(lambda c: c * (c + 1) // 2)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordElement):
@@ -449,25 +449,38 @@ def bracket(x: CliffordElement, y: CliffordElement) -> CliffordElement:
 # 2-adic exponential and logarithm
 
 
-def _to_rational_element(x: CliffordElement) -> CliffordElement:
-    coeffs = {}
-    for b, c in x.coeffs.items():
+def _lift(x: CliffordElement, bits: int, scalar: int, what: str) -> CliffordElement:
+    """x over Z/2^K, K = bits + floor(log2 bits), once every coefficient,
+    e{} included, is an integer = scalar on e{} and 0 elsewhere mod 4."""
+    if bits < 1:
+        raise ValueError("need bits >= 1")
+    for c in x.coeffs.values():
         if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
             raise TypeError("exp/log need integer or rational coefficients")
-        coeffs[b] = Fraction(c)
-    return CliffordElement(x.sig, QQ, coeffs)
-
-
-def _reduce_mod_2n(x: CliffordElement, bits: int) -> CliffordElement:
-    mod = 1 << bits
-    ring = ModularRing(mod)
-    out = {}
-    for b, c in x.coeffs.items():
-        if c.denominator % 2 == 0:
+    if not x.is_even():
+        raise ValueError(f"{what} is defined on the even part")
+    for b, c in {0: 0, **x.coeffs}.items():
+        if c.denominator != 1 or (c.numerator - (b == 0) * scalar) % 4:
             raise TwoAdicIntegralityError(
-                f"coefficient {c} of {blade_str(b)} is not a 2-adic integer")
-        out[b] = c.numerator * pow(c.denominator, -1, mod) % mod
-    return CliffordElement(x.sig, ring, out)
+                f"coefficient {c} of {blade_str(b)}: {what} needs {scalar} mod 4*C_0")
+    ring = ModularRing(1 << (bits + bits.bit_length() - 1))
+    return CliffordElement(x.sig, ring, {b: ring.from_int(c.numerator)
+                                         for b, c in x.coeffs.items()})
+
+
+def _divide_exact(y: CliffordElement, k: int) -> CliffordElement:
+    """y / k over Z/2^K for y divisible by 2^v, v = v_2(k): shift out 2^v
+    (leaving y/2^v known mod 2^(K-v)), times the inverse of k / 2^v."""
+    mod = y.ring.modulus
+    v = (k & -k).bit_length() - 1
+    inv = pow(k >> v, -1, mod)
+    return CliffordElement(y.sig, y.ring,
+                           {b: (c >> v) * inv % mod for b, c in y.coeffs.items()})
+
+
+def _reduce_bits(x: CliffordElement, bits: int) -> CliffordElement:
+    mod = 1 << bits
+    return CliffordElement(x.sig, ModularRing(mod), {b: c % mod for b, c in x.coeffs.items()})
 
 
 def clifford_exp(x: CliffordElement, bits: int) -> CliffordElement:
@@ -475,23 +488,19 @@ def clifford_exp(x: CliffordElement, bits: int) -> CliffordElement:
 
     Requires even support and every coefficient an integer divisible
     by 4; then x^k/k! is 2-adically integral and the series is stable
-    past k = bits, so the truncated sum is exact mod 2^bits.
+    past k = bits, so the truncated sum is exact mod 2^bits.  It runs
+    term_k = term_(k-1) * x / k over Z/2^K, K = bits + floor(log2 bits):
+    an error in 2^(K-D) Z grows to 2^(K-D+2) Z times x (in 4 C_0) and
+    loses v_2(k) bits in the division, so the deficit D after step k is
+    the largest v_2(k!/(j-1)!) - 2(k-j) over j <= k, at most log2 k since
+    v_2(n!) <= n - 1 and 2^v_2(C(k, n)) <= k for n = k-j+1.
     """
-    if bits < 1:
-        raise ValueError("need bits >= 1")
-    x = _to_rational_element(x)
-    if not x.is_even():
-        raise ValueError("exp is defined on the even part")
-    for b, c in x.coeffs.items():
-        if c.denominator != 1 or c.numerator % 4:
-            raise TwoAdicIntegralityError(
-                f"coefficient {c} of {blade_str(b)} is not divisible by 4")
-    acc = CliffordElement.one(x.sig, QQ)
-    term = CliffordElement.one(x.sig, QQ)
+    x = _lift(x, bits, 0, "exp")
+    acc = term = CliffordElement.one(x.sig, x.ring)
     for k in range(1, bits + 1):
-        term = (term * x).scale(Fraction(1, k))
+        term = _divide_exact(term * x, k)
         acc = acc + term
-    return _reduce_mod_2n(acc, bits)
+    return _reduce_bits(acc, bits)
 
 
 def clifford_log(g: CliffordElement, bits: int) -> CliffordElement:
@@ -500,22 +509,12 @@ def clifford_log(g: CliffordElement, bits: int) -> CliffordElement:
     Input coefficients may live over Z or Z/2^N; they are lifted to
     integers.  The alternating series sum (-1)^(k-1) (g-1)^k / k is
     stable past k = bits because v_2((g-1)^k / k) >= 2k - log2(k).
+    The powers (g-1)^k are exact over Z/2^K, K = bits + floor(log2 bits),
+    and dividing by k costs v_2(k) <= log2 bits of those bits.
     """
-    if bits < 1:
-        raise ValueError("need bits >= 1")
-    g = _to_rational_element(g)
-    if not g.is_even():
-        raise ValueError("log is defined on the even part")
-    for b, c in g.coeffs.items():
-        want = 1 if b == 0 else 0
-        if c.denominator != 1 or (c.numerator - want) % 4:
-            raise TwoAdicIntegralityError(
-                f"coefficient {c} of {blade_str(b)}: input is not 1 mod 4*C_0")
-    a = g - CliffordElement.one(g.sig, QQ)
-    acc = CliffordElement(g.sig, QQ, {})
-    power = CliffordElement.one(g.sig, QQ)
-    for k in range(1, bits + 1):
+    g = _lift(g, bits, 1, "log")
+    a = acc = power = g - CliffordElement.one(g.sig, g.ring)
+    for k in range(2, bits + 1):
         power = power * a
-        term = power.scale(Fraction((-1) ** (k - 1), k))
-        acc = acc + term
-    return _reduce_mod_2n(acc, bits)
+        acc = acc + _divide_exact(power, k if k & 1 else -k)  # (-1)^(k-1) / k
+    return _reduce_bits(acc, bits)

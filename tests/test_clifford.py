@@ -35,6 +35,7 @@ from spinchi.clifford import (
     clifford_log,
     is_spin_element,
     lie_algebra_basis,
+    sign_mask,
 )
 
 
@@ -83,6 +84,28 @@ def test_blade_mul_matches_naive_oracle_exhaustively():
                         blade_indices(j), blade_indices(k), m)
                     assert blade == blade_from_indices(want_idx)
                     assert sign == want_sign, (m, d - m, j, k)
+
+
+def test_sign_mask_matches_blade_mul_exhaustively():
+    # the product kernel's rule: one mask per left blade, then AND + popcount
+    for d in range(1, 7):
+        for m in range(d + 1):
+            sig = Signature(m, d - m)
+            for j in range(1 << d):
+                s = sign_mask(j, m)
+                for k in range(1 << d):
+                    sign = -1 if (s & k).bit_count() & 1 else 1
+                    assert (sign, j ^ k) == blade_mul(j, k, sig), (m, d - m, j, k)
+
+
+def test_sign_mask_high_generators():
+    # the suffix parity must reach bit 62 of a 63-generator blade
+    sig = Signature(30, 33)
+    rng = random.Random(63)
+    for _ in range(300):
+        j, k = rng.getrandbits(63), rng.getrandbits(63)
+        sign = -1 if (sign_mask(j, sig.m) & k).bit_count() & 1 else 1
+        assert (sign, j ^ k) == blade_mul(j, k, sig)
 
 
 def test_blade_helpers():
@@ -211,6 +234,40 @@ def test_product_laws_random():
             assert (x * y).iota() == y.iota() * x.iota()
             assert (x * y).conjugate() == y.conjugate() * x.conjugate()
             assert (x * y).grade_involution() == x.grade_involution() * y.grade_involution()
+
+
+def _termwise_product(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    ring = x.ring
+    out: dict = {}
+    for b1, c1 in x.coeffs.items():
+        for b2, c2 in y.coeffs.items():
+            sign, b = blade_mul(b1, b2, x.sig)
+            term = ring.mul(c1, c2)
+            out[b] = ring.add(out.get(b, ring.zero), term if sign > 0 else ring.neg(term))
+    return CliffordElement(x.sig, ring, out)
+
+
+def test_product_matches_termwise_blade_mul_sum():
+    # native rings accumulate with Python's + and - and reduce once per
+    # blade; dual numbers keep the dispatching loop
+    rng = random.Random(8080)
+    dual = DualNumbers(ModularRing(16))
+    for ring in (ZZ, QQ, PrimeField(7), ModularRing(64), dual):
+        def coeff():
+            a, b = rng.randrange(-200, 201), rng.randrange(-200, 201)
+            return (dual.base.from_int(a), dual.base.from_int(b)) if ring is dual \
+                else ring.from_int(a)
+        for _ in range(40):
+            d = rng.randint(1, 7)
+            sig = Signature(m := rng.randint(0, d), d - m)
+            terms = rng.choice((3, 12, 1 << d))
+            x, y = (CliffordElement(sig, ring, {rng.randrange(1 << d): coeff()
+                                                for _ in range(terms)}) for _ in range(2))
+            z = x * y
+            assert z == _termwise_product(x, y), (ring, sig)
+            # every stored coefficient is reduced, as the ring stores it
+            assert all(ring.eq(ring.add(c, ring.zero), c) for c in z.coeffs.values())
+            assert all(type(c) is type(ring.one) for c in z.coeffs.values())
 
 
 def test_element_basics():
@@ -425,6 +482,77 @@ def test_log_domain_errors():
         clifford_log(CliffordElement(sig, ZZ, {0: 3}), 8)
     with pytest.raises(ValueError):
         clifford_log(CliffordElement(sig, ZZ, {0: 1, 0b1: 4}), 8)
+
+
+def test_log_rejects_a_scalar_not_1_mod_4():
+    # an absent scalar is 0, not 1 mod 4: both inputs must fail on e{}
+    sig = Signature(2, 2)
+    for coeffs in ({}, {0b11: 4}):
+        for bits in (1, 8):
+            with pytest.raises(TwoAdicIntegralityError, match=r"of e\{\}"):
+                clifford_log(CliffordElement(sig, ZZ, coeffs), bits)
+
+
+# oracle: the series over Q as spinchi ran them before the Z/2^K kernel
+
+def _q_reduce(x: CliffordElement, bits: int) -> CliffordElement:
+    mod = 1 << bits
+    assert all(c.denominator % 2 for c in x.coeffs.values())
+    return CliffordElement(x.sig, ModularRing(mod), {
+        b: c.numerator * pow(c.denominator, -1, mod) % mod for b, c in x.coeffs.items()})
+
+
+def _q_exp(x: CliffordElement, bits: int) -> CliffordElement:
+    x = CliffordElement(x.sig, QQ, {b: Fraction(c) for b, c in x.coeffs.items()})
+    acc = term = CliffordElement.one(x.sig, QQ)
+    for k in range(1, bits + 1):
+        term = (term * x).scale(Fraction(1, k))
+        acc = acc + term
+    return _q_reduce(acc, bits)
+
+
+def _q_log(g: CliffordElement, bits: int) -> CliffordElement:
+    g = CliffordElement(g.sig, QQ, {b: Fraction(c) for b, c in g.coeffs.items()})
+    a = g - CliffordElement.one(g.sig, QQ)
+    acc, power = CliffordElement(g.sig, QQ, {}), CliffordElement.one(g.sig, QQ)
+    for k in range(1, bits + 1):
+        power = power * a
+        acc = acc + power.scale(Fraction((-1) ** (k - 1), k))
+    return _q_reduce(acc, bits)
+
+
+def _assert_same(got: CliffordElement, want: CliffordElement) -> None:
+    assert got.ring == want.ring and got.sig == want.sig
+    assert got.coeffs == want.coeffs
+
+
+def test_exp_log_match_rational_series():
+    # every bits in 1..17 covers the largest division losses (k = 8, 16)
+    rng = random.Random(1717)
+    for d in range(2, 7):
+        for bits in range(1, 18):
+            sig = Signature(m := rng.randint(0, d), d - m)
+            even = [b for b in range(1 << d) if b.bit_count() % 2 == 0]
+            x = CliffordElement(sig, ZZ, {b: 4 * rng.choice((-3, -1, 1, 3, 5, 2, -6))
+                                          for b in even if rng.random() < 0.6})
+            _assert_same(clifford_exp(x, bits), _q_exp(x, bits))
+            g = x + CliffordElement.one(sig, ZZ)
+            _assert_same(clifford_log(g, bits), _q_log(g, bits))
+            lie = _random_lie_multiple_of_4(rng, sig, max(bits, 3))
+            _assert_same(clifford_exp(lie, bits), _q_exp(lie, bits))
+
+
+def test_exp_log_match_rational_series_on_modular_and_rational_input():
+    sig = Signature(2, 1)
+    g = CliffordElement(sig, ModularRing(64), {0: 1, 0b11: 4})
+    _assert_same(clifford_log(g, 6), _q_log(g, 6))
+    sig = Signature(3, 2)
+    x = CliffordElement(sig, QQ, {0b11: Fraction(8, 2), 0b1100: Fraction(-12),
+                                  0b11110: Fraction(4)})
+    for bits in (5, 9, 16):
+        _assert_same(clifford_exp(x, bits), _q_exp(x, bits))
+        g = x + CliffordElement.one(sig, QQ)
+        _assert_same(clifford_log(g, bits), _q_log(g, bits))
 
 
 def test_log_accepts_modular_input():
