@@ -204,6 +204,22 @@ def _suite_oracles() -> None:
         got = qforms.hilbert_symbol(a, b, v)
         want = oracles.hilbert_bruteforce(a, b, v)
         assert got == want, f"Hilbert symbol ({a},{b})_{v}: {got} vs {want}"
+    for _ in range(100):
+        dim = rng.randint(1, 6)
+        f, g = (qforms.DiagonalForm(tuple(
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+            for _ in range(dim))) for _ in range(2))
+        for v in (None, 2, 3, 5, 7, 11, 13):
+            assert qforms.hasse_invariant(f, v) == oracles.hasse_pairwise(f.entries, v), \
+                f"Hasse invariant of <{f}> at {v}"
+            assert qforms.witt_index(f, v) == oracles.witt_index_peel(f.entries, v), \
+                f"Witt index of <{f}> at {v}"
+            assert qforms.qp_equivalent(f, g, v) == \
+                oracles.qp_equivalent_pairwise(f.entries, g.entries, v), \
+                f"equivalence of <{f}> and <{g}> at {v}"
+        w = oracles.witt_index_rational_peel(f.entries)
+        assert qforms.witt_index_rational(f) == w, f"rational Witt index of <{f}>"
+        assert qforms.is_isotropic_rational(f) == (w >= 1), f"rational isotropy of <{f}>"
     for (m, n), p in (((2, 1), 3), ((2, 1), 5), ((2, 2), 3), ((3, 1), 3)):
         desc = ggroups.SpinGroupDescriptor(m, n)
         formula = ggroups.spin_order_fp(desc, p)
@@ -289,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
 
     p = add("witt", _cmd_witt, "Witt index of a diagonal form at a place")
-    p.add_argument("form", help='e.g. "1,1,1,1,-1" or "b(4,1)"')
+    p.add_argument("form", help='e.g. "1,1,1,1,-1" or "b(4,1)"; b(m,n) needs '
+                                f"m + n <= {qforms.PM_RANK_LIMIT}")
     p.add_argument("place", help='prime or "oo"')
 
     p = add("srank", _cmd_srank, "S-arithmetic rank and Serre sign")

@@ -1,12 +1,19 @@
-"""Brute-force oracles, independent of the closed formulas they check.
+"""Reference implementations, independent of the fast code they check.
 
 ``spinchi verify oracles`` and the tests compare ``qforms.hilbert_symbol``
-against ``hilbert_bruteforce``.
+against ``hilbert_bruteforce``, and the Hasse invariants, Witt indices,
+Q_p-equivalence and rational isotropy of ``qforms`` against the pairwise
+referee below (``hasse_pairwise``, ``witt_index_peel``,
+``qp_equivalent_pairwise``, ``witt_index_rational_peel``).
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
+
+from .exactq import factor
 
 
 @lru_cache(maxsize=None)
@@ -37,3 +44,144 @@ def hilbert_bruteforce(a: int, b: int, prime: Optional[int]) -> int:
         if (1 - b * y * y) % modulus in a_squares:  # z normalized to 1
             return 1
     return -1
+
+
+# ---------------------------------------------------------------------------
+# Pairwise referee for the local and rational invariants of diagonal forms
+#
+# The O(d^2) Hasse product and the Witt peel on squarefree representatives,
+# with Serre's closed Hilbert formulas on whole integers.  It shares no code
+# with the square-class keys of ``qforms``.
+
+
+@lru_cache(maxsize=1 << 16)
+def squarefree_rep(a: Fraction | int) -> int:
+    """The squarefree integer representing the square class of ``a``."""
+    a = Fraction(a)
+    if a == 0:
+        raise ValueError("need a nonzero value")
+    fi = factor(a.numerator * a.denominator)
+    out = fi.sign
+    for p, e in fi.factors:
+        if e % 2:
+            out *= p
+    return out
+
+
+def _val_unit(n: int, p: int) -> tuple[int, int]:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def _legendre(u: int, p: int) -> int:
+    return 1 if pow(u % p, (p - 1) // 2, p) == 1 else -1
+
+
+def hilbert_closed(a: int, b: int, prime: Optional[int]) -> int:
+    """(a, b)_v for nonzero integers by the closed formulas on v_p and units."""
+    if prime is None:
+        return -1 if a < 0 and b < 0 else 1
+    alpha, u = _val_unit(a, prime)
+    beta, w = _val_unit(b, prime)
+    if prime == 2:
+        exponent = ((u - 1) // 2) * ((w - 1) // 2) \
+            + alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
+        return -1 if exponent % 2 else 1
+    sign = -1 if alpha * beta * ((prime - 1) // 2) % 2 else 1
+    if beta % 2:
+        sign *= _legendre(u, prime)
+    if alpha % 2:
+        sign *= _legendre(w, prime)
+    return sign
+
+
+def hasse_pairwise(entries: Sequence, prime: Optional[int]) -> int:
+    """prod_{i<j} (a_i, a_j)_v, one Hilbert symbol per pair."""
+    reps = [squarefree_rep(a) for a in entries]
+    sign = 1
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            sign *= hilbert_closed(reps[i], reps[j], prime)
+    return sign
+
+
+def _is_local_square(n: int, prime: int) -> bool:
+    """Whether the squarefree integer n is a square in Q_prime."""
+    if prime == 2:
+        return n % 8 == 1
+    return n % prime != 0 and _legendre(n, prime) == 1
+
+
+def _isotropic_pairwise(dim: int, disc: int, hasse: int, prime: int) -> bool:
+    if dim >= 5:
+        return True
+    if dim == 4:
+        return not (_is_local_square(disc, prime)
+                    and hasse == -hilbert_closed(-1, -1, prime))
+    if dim == 3:
+        return hasse == hilbert_closed(-1, -disc, prime)
+    if dim == 2:
+        return _is_local_square(-disc, prime)
+    return False
+
+
+def _disc_rep(entries: Sequence) -> int:
+    return squarefree_rep(math.prod(a.numerator * a.denominator for a in entries))
+
+
+def qp_equivalent_pairwise(f: Sequence, g: Sequence, prime: Optional[int]) -> bool:
+    """Equivalence over Q_v of two diagonal forms given by their entries."""
+    if len(f) != len(g):
+        return False
+    if prime is None:
+        return sum(a > 0 for a in f) == sum(a > 0 for a in g)
+    return (_is_local_square(squarefree_rep(_disc_rep(f) * _disc_rep(g)), prime)
+            and hasse_pairwise(f, prime) == hasse_pairwise(g, prime))
+
+
+def witt_index_peel(entries: Sequence, prime: Optional[int]) -> int:
+    """Witt index over Q_v, peeling planes on squarefree representatives."""
+    dim = len(entries)
+    if prime is None:
+        pos = sum(a > 0 for a in entries)
+        return min(pos, dim - pos)
+    disc = _disc_rep(entries)
+    hasse = hasse_pairwise(entries, prime)
+    index = 0
+    while dim >= 2 and _isotropic_pairwise(dim, disc, hasse, prime):
+        dim -= 2
+        disc = squarefree_rep(-disc)
+        hasse *= hilbert_closed(-1, disc, prime)
+        index += 1
+    return index
+
+
+def witt_index_rational_peel(entries: Sequence) -> int:
+    """Witt index over Q: the peel at every place dividing 2 * prod(entries)."""
+    dim = len(entries)
+    pos = sum(a > 0 for a in entries)
+    neg = dim - pos
+    disc = _disc_rep(entries)
+    primes = {2}
+    for a in entries:
+        primes.update(p for p, _ in factor(squarefree_rep(a)).factors)
+    hasse = {p: hasse_pairwise(entries, p) for p in primes}
+    index = 0
+    while dim >= 2 and min(pos, neg) > 0:
+        if dim == 2:
+            if disc != -1:
+                break
+        elif dim <= 4:
+            if not all(_isotropic_pairwise(dim, disc, hasse[p], p) for p in primes):
+                break
+        dim -= 2
+        pos -= 1
+        neg -= 1
+        disc = squarefree_rep(-disc)
+        for p in primes:
+            hasse[p] *= hilbert_closed(-1, disc, p)
+        index += 1
+    return index

@@ -3,19 +3,33 @@
 Places are the archimedean place and the primes.  For a diagonal form
 <a_1, ..., a_k> we compute, per place: the square class of the
 discriminant, the Hasse invariant prod_{i<j} (a_i, a_j)_v, the Witt
-index and the anisotropic dimension.  Rational (global) isotropy is
-decided by checking every completion, which only needs the places
-dividing 2 * prod(entries): everywhere else the form is unimodular of
-dimension >= 3 and automatically isotropic.
+index and the anisotropic dimension.
 
-Hilbert symbols use the standard closed formulas (Serre, A Course in
-Arithmetic, III.1): for odd p and a = p^alpha u, b = p^beta w,
+Every local function works on square-class keys (``square_class_key``):
+a nonzero a = p^alpha u, with u a p-adic unit, has the key
+(alpha mod 2, u mod 8) at p = 2, (alpha mod 2, (u|p)) at odd p, and
+(sign of a,) at the real place.  The key of a product is read off the
+keys of the factors, and Hilbert symbols need nothing else; Serre's
+closed formulas (A Course in Arithmetic, III.1) are, for odd p and
+a = p^alpha u, b = p^beta w,
 
     (a, b)_p = (-1)^(alpha beta (p-1)/2) (u|p)^beta (w|p)^alpha,
 
 and for p = 2, with eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2,
 
     (a, b)_2 = (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u)).
+
+The Hasse invariant takes one pass by suffix products,
+
+    prod_{i<j} (a_i, a_j) = prod_i (a_i, a_{i+1} ... a_k),
+
+and the last suffix is the discriminant's key.  Splitting off a
+hyperbolic plane multiplies the discriminant by -1 and the Hasse
+invariant by (-1, new discriminant), so the Witt index is a peel on
+keys too.  No local function factors anything: only the rational
+functions ``is_isotropic_rational`` and ``witt_index_rational`` do, to
+find the places dividing 2 * prod(entries).  Everywhere else the form
+is unimodular of dimension >= 3 and automatically isotropic.
 
 The +-1 forms <1^m, (-1)^n> are odd unimodular Z-lattices, and their
 genus at the finite places is fixed by the rank d = m + n and n mod 4
@@ -26,11 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exactq import factor, is_prime
 
 Scalar = int | Fraction
+
+PM_RANK_LIMIT = 10 ** 5
+"""Largest rank m + n that ``DiagonalForm.pm`` (and ``b(m,n)``) builds."""
 
 
 @dataclass(frozen=True)
@@ -67,30 +84,8 @@ def _as_place(v: "Place | int | None") -> Place:
     return Place(v)
 
 
-def _int_rep(a: Scalar) -> int:
-    """Integer in the same square class: num * den for a fraction."""
-    a = Fraction(a)
-    if a == 0:
-        raise ValueError("need a nonzero value")
-    return a.numerator * a.denominator
-
-
-def squarefree_rep(a: Scalar) -> int:
-    """The squarefree integer representing the square class of ``a``."""
-    fi = factor(_int_rep(a))
-    out = fi.sign
-    for p, e in fi.factors:
-        if e % 2:
-            out *= p
-    return out
-
-
-def _val_unit(n: int, p: int) -> tuple[int, int]:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
+# ---------------------------------------------------------------------------
+# Square-class keys: p is a prime, or None for the real place
 
 
 def _legendre(u: int, p: int) -> int:
@@ -98,40 +93,75 @@ def _legendre(u: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def hilbert_symbol(a: Scalar, b: Scalar, v: "Place | int | None") -> int:
-    """(a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution in Q_v."""
-    place = _as_place(v)
-    a, b = _int_rep(a), _int_rep(b)
-    if place.is_infinite:
-        return -1 if a < 0 and b < 0 else 1
-    p = place.prime
-    alpha, u = _val_unit(a, p)
-    beta, w = _val_unit(b, p)
+def _key(a: Scalar, p: Optional[int]) -> tuple:
+    """Square-class key of a nonzero rational at p."""
+    if not isinstance(a, (int, Fraction)):
+        a = Fraction(a)
+    num, den = a.numerator, a.denominator
+    if num == 0:
+        raise ValueError("need a nonzero value")
+    if p is None:
+        return (1 if num > 0 else -1,)
+    if p == 2:
+        vn = (num & -num).bit_length() - 1
+        vd = (den & -den).bit_length() - 1
+        return ((vn + vd) % 2, (num >> vn) * (den >> vd) % 8)
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v += 1
+    return (v % 2, _legendre(num * den, p))
+
+
+def _key_mul(x: tuple, y: tuple, p: Optional[int]) -> tuple:
+    """Key of a * b from the keys of a and b."""
+    if p is None:
+        return (x[0] * y[0],)
+    if p == 2:
+        return (x[0] ^ y[0], x[1] * y[1] % 8)
+    return (x[0] ^ y[0], x[1] * y[1])
+
+
+def _key_hilbert(x: tuple, y: tuple, p: Optional[int]) -> int:
+    """(a, b)_p from the keys of a and b, by Serre's closed formulas."""
+    if p is None:
+        return -1 if x[0] < 0 and y[0] < 0 else 1
+    (alpha, u), (beta, w) = x, y
     if p == 2:
         exponent = ((u - 1) // 2) * ((w - 1) // 2) \
             + alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
         return -1 if exponent % 2 else 1
-    exponent = alpha * beta * ((p - 1) // 2)
-    sign = -1 if exponent % 2 else 1
-    if beta % 2:
-        sign *= _legendre(u, p)
-    if alpha % 2:
-        sign *= _legendre(w, p)
+    sign = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
+    if beta:
+        sign *= u
+    if alpha:
+        sign *= w
     return sign
+
+
+def _hasse_disc(entries: Sequence[Fraction], p: Optional[int]) -> tuple[int, tuple]:
+    """(Hasse invariant, discriminant key) at p, by suffix products."""
+    keys = [_key(a, p) for a in entries]
+    suffix = keys.pop()
+    hasse = 1
+    for key in reversed(keys):
+        hasse *= _key_hilbert(key, suffix, p)
+        suffix = _key_mul(key, suffix, p)
+    return hasse, suffix
+
+
+def hilbert_symbol(a: Scalar, b: Scalar, v: "Place | int | None") -> int:
+    """(a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution in Q_v."""
+    p = _as_place(v).prime
+    return _key_hilbert(_key(a, p), _key(b, p), p)
 
 
 def square_class_key(a: Scalar, v: "Place | int | None") -> tuple:
     """Canonical key for the square class of ``a`` in Q_v^* / squares."""
-    place = _as_place(v)
-    n = _int_rep(a)
-    if place.is_infinite:
-        return (1 if n > 0 else -1,)
-    p = place.prime
-    val, u = _val_unit(abs(n), p)
-    u *= 1 if n > 0 else -1
-    if p == 2:
-        return (val % 2, u % 8)
-    return (val % 2, _legendre(u, p))
+    return _key(a, _as_place(v).prime)
 
 
 @dataclass(frozen=True)
@@ -150,9 +180,14 @@ class DiagonalForm:
 
     @classmethod
     def pm(cls, m: int, n: int) -> "DiagonalForm":
-        """The form with m entries +1 followed by n entries -1."""
+        """The form with m entries +1 followed by n entries -1.
+
+        The rank m + n is at most ``PM_RANK_LIMIT``.
+        """
         if m < 0 or n < 0 or m + n < 1:
             raise ValueError("need m, n >= 0 with m + n >= 1")
+        if m + n > PM_RANK_LIMIT:
+            raise ValueError(f"need m + n <= {PM_RANK_LIMIT}, got {m + n}")
         return cls((Fraction(1),) * m + (Fraction(-1),) * n)
 
     @classmethod
@@ -191,22 +226,17 @@ class LocalInvariants:
 
 
 def hasse_invariant(form: DiagonalForm, v: "Place | int | None") -> int:
-    place = _as_place(v)
-    sign = 1
-    entries = form.entries
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            sign *= hilbert_symbol(entries[i], entries[j], place)
-    return sign
+    return _hasse_disc(form.entries, _as_place(v).prime)[0]
 
 
 def local_invariants(form: DiagonalForm, v: "Place | int | None") -> LocalInvariants:
     place = _as_place(v)
+    hasse, disc = _hasse_disc(form.entries, place.prime)
     return LocalInvariants(
         place=place,
         dimension=form.dim,
-        disc_class=square_class_key(form.disc(), place),
-        hasse=hasse_invariant(form, place),
+        disc_class=disc,
+        hasse=hasse,
         signature=form.signature() if place.is_infinite else None,
     )
 
@@ -219,30 +249,37 @@ def qp_equivalent(f: DiagonalForm, g: DiagonalForm,
         return False
     if place.is_infinite:
         return f.signature() == g.signature()
-    return (square_class_key(f.disc(), place) == square_class_key(g.disc(), place)
-            and hasse_invariant(f, place) == hasse_invariant(g, place))
+    return _hasse_disc(f.entries, place.prime) == _hasse_disc(g.entries, place.prime)
 
 
 # ---------------------------------------------------------------------------
 # Isotropy and Witt decomposition
 
 
-def _sf_mul(a: int, b: int) -> int:
-    return squarefree_rep(a * b)
-
-
-def _local_isotropic(dim: int, disc: int, hasse: int, place: Place) -> bool:
-    """Isotropy over Q_p from the invariant triple (finite places)."""
+def _local_isotropic(dim: int, disc: tuple, hasse: int, p: int) -> bool:
+    """Isotropy over Q_p from dimension, discriminant key and Hasse invariant."""
     if dim >= 5:
         return True
+    minus_one = _key(-1, p)
     if dim == 4:
-        return not (square_class_key(disc, place) == square_class_key(1, place)
-                    and hasse == -hilbert_symbol(-1, -1, place))
+        return not (disc == _key(1, p)
+                    and hasse == -_key_hilbert(minus_one, minus_one, p))
     if dim == 3:
-        return hasse == hilbert_symbol(-1, -disc, place)
+        return hasse == _key_hilbert(minus_one, _key_mul(disc, minus_one, p), p)
     if dim == 2:
-        return square_class_key(disc, place) == square_class_key(-1, place)
+        return disc == minus_one
     return False
+
+
+def _peel(hasse: int, disc: tuple, p: int) -> tuple[int, tuple]:
+    """(Hasse, disc key) after splitting off one hyperbolic plane.
+
+    The discriminant flips sign and the Hasse invariant picks up
+    (-1, new disc)_p.
+    """
+    minus_one = _key(-1, p)
+    disc = _key_mul(disc, minus_one, p)
+    return hasse * _key_hilbert(minus_one, disc, p), disc
 
 
 def witt_index(form: DiagonalForm, v: "Place | int | None") -> int:
@@ -251,16 +288,13 @@ def witt_index(form: DiagonalForm, v: "Place | int | None") -> int:
     if place.is_infinite:
         pos, neg = form.signature()
         return min(pos, neg)
+    p = place.prime
     dim = form.dim
-    disc = squarefree_rep(form.disc())
-    hasse = hasse_invariant(form, place)
+    hasse, disc = _hasse_disc(form.entries, p)
     index = 0
-    while dim >= 2 and _local_isotropic(dim, disc, hasse, place):
-        # peel one hyperbolic plane: disc flips sign, the Hasse invariant
-        # picks up (-1, new disc)_p
+    while dim >= 2 and _local_isotropic(dim, disc, hasse, p):
         dim -= 2
-        disc = _sf_mul(disc, -1)
-        hasse *= hilbert_symbol(-1, disc, place)
+        hasse, disc = _peel(hasse, disc, p)
         index += 1
     return index
 
@@ -272,9 +306,13 @@ def anisotropic_dim(form: DiagonalForm, v: "Place | int | None") -> int:
 def _relevant_primes(form: DiagonalForm) -> list[int]:
     primes = {2}
     for e in form.entries:
-        fi = factor(_int_rep(e))
-        primes.update(p for p, _ in fi.factors)
+        primes.update(p for p, _ in factor(e.numerator * e.denominator).factors)
     return sorted(primes)
+
+
+def _is_rational_square(x: Fraction) -> bool:
+    return (x > 0 and math.isqrt(x.numerator) ** 2 == x.numerator
+            and math.isqrt(x.denominator) ** 2 == x.denominator)
 
 
 def is_isotropic_rational(form: DiagonalForm) -> bool:
@@ -290,14 +328,13 @@ def is_isotropic_rational(form: DiagonalForm) -> bool:
     pos, neg = form.signature()
     if min(pos, neg) == 0:
         return False
-    disc = squarefree_rep(form.disc())
     if dim == 2:
-        return disc == -1
+        return _is_rational_square(-form.disc())
     if dim >= 5:
         return True
     for p in _relevant_primes(form):
-        place = Place(p)
-        if not _local_isotropic(dim, disc, hasse_invariant(form, place), place):
+        hasse, disc = _hasse_disc(form.entries, p)
+        if not _local_isotropic(dim, disc, hasse, p):
             return False
     return True
 
@@ -306,25 +343,21 @@ def witt_index_rational(form: DiagonalForm) -> int:
     """Witt index over Q, by peeling hyperbolic planes at invariant level."""
     dim = form.dim
     pos, neg = form.signature()
-    disc = squarefree_rep(form.disc())
-    places = [Place(p) for p in _relevant_primes(form)]
-    hasse = {place: hasse_invariant(form, place) for place in places}
+    disc = form.disc()
+    local = {p: _hasse_disc(form.entries, p) for p in _relevant_primes(form)}
     index = 0
-    while dim >= 2:
-        if min(pos, neg) == 0:
-            break
+    while dim >= 2 and min(pos, neg) > 0:
         if dim == 2:
-            if disc != -1:
+            if not _is_rational_square(-disc):
                 break
         elif dim <= 4:
-            if not all(_local_isotropic(dim, disc, hasse[pl], pl) for pl in places):
+            if not all(_local_isotropic(dim, dk, h, p) for p, (h, dk) in local.items()):
                 break
         dim -= 2
         pos -= 1
         neg -= 1
-        disc = _sf_mul(disc, -1)
-        for pl in places:
-            hasse[pl] *= hilbert_symbol(-1, disc, pl)
+        disc = -disc
+        local = {p: _peel(h, dk, p) for p, (h, dk) in local.items()}
         index += 1
     return index
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 
 from spinchi.cli import main
 from spinchi.euler import chi_closed
@@ -187,6 +188,21 @@ def test_witt_command(capsys):
     assert json.loads(out) == {"witt": 1, "aniso_dim": 1}
 
 
+def test_witt_command_is_linear_and_never_factors(capsys):
+    # The Hasse invariant of b(2000,1) is one pass over its entries, and
+    # the second form's first entry is A_69's 41-digit cofactor, which no
+    # local computation may try to factor.
+    cases = (("b(2000,1)", {"witt": 1000, "aniso_dim": 1}),
+             ("62467624025782717275851531008059486003491,1,-1",
+              {"witt": 1, "aniso_dim": 1}))
+    for form, want in cases:
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "witt", form, "3")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and json.loads(out) == want, form
+        assert elapsed < 2.0, (form, elapsed)
+
+
 def test_srank_command(capsys):
     code, out, _ = run(capsys, "srank", "4", "1", "2")
     assert code == 0
@@ -230,6 +246,9 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "witt", "b(2,1)", "15")
     assert code == 2
+    code, _, err = run(capsys, "witt", "b(99999999999999999999,1)", "3")
+    assert code == 2
+    assert "m + n <= 100000" in err
     code, _, err = run(capsys, "table", "--d-max", "2")
     assert code == 2
 

@@ -5,9 +5,13 @@ which searches for solutions of z^2 = a x^2 + b y^2 modulo p^4 (2^6 at
 p = 2) with one coordinate normalized to a unit; by the strong form of
 Hensel's lemma any such solution lifts to Q_p when a and b are
 squarefree, and every Q_p-solution reduces to one, so the oracle is
-exact.  The 2-adic part of the genus criterion is validated against an
-exhaustive search for a change of basis modulo 8 at small rank, and the
-closed genus rule against Q_p-invariants at every p <= 100.
+exact.  The square-class kernel behind the Hasse invariants, Witt
+indices, Q_p-equivalence and rational isotropy is checked against the
+pairwise referee in ``spinchi.oracles`` (the O(d^2) Hasse product and
+the Witt peel on squarefree representatives).  The 2-adic part of the
+genus criterion is validated against an exhaustive search for a change
+of basis modulo 8 at small rank, and the closed genus rule against
+Q_p-invariants at every p <= 100.
 """
 from __future__ import annotations
 
@@ -18,8 +22,13 @@ from fractions import Fraction
 
 import pytest
 
+from spinchi import oracles, qforms
 from spinchi.exactq import primes_up_to
-from spinchi.oracles import hilbert_bruteforce
+from spinchi.oracles import (
+    hilbert_bruteforce,
+    hilbert_closed,
+    squarefree_rep,
+)
 from spinchi.qforms import (
     INFINITE_PLACE,
     DiagonalForm,
@@ -34,7 +43,6 @@ from spinchi.qforms import (
     local_invariants,
     qp_equivalent,
     square_class_key,
-    squarefree_rep,
     witt_index,
     witt_index_rational,
 )
@@ -215,8 +223,9 @@ def test_hilbert_symbol_matches_bruteforce():
         for _ in range(25):
             a = _random_squarefree(rng)
             b = _random_squarefree(rng)
-            assert hilbert_symbol(a, b, prime) == hilbert_bruteforce(a, b, prime), \
-                (a, b, prime)
+            want = hilbert_bruteforce(a, b, prime)
+            assert hilbert_symbol(a, b, prime) == want, (a, b, prime)
+            assert hilbert_closed(a, b, prime) == want, (a, b, prime)
 
 
 def test_hilbert_symbol_properties():
@@ -281,6 +290,11 @@ def test_diagonal_form_construction():
         DiagonalForm((Fraction(0),))
     with pytest.raises(ValueError):
         DiagonalForm(())
+    assert DiagonalForm.pm(qforms.PM_RANK_LIMIT - 1, 1).dim == qforms.PM_RANK_LIMIT
+    with pytest.raises(ValueError):
+        DiagonalForm.pm(qforms.PM_RANK_LIMIT, 1)
+    with pytest.raises(ValueError):
+        DiagonalForm.parse("b(99999999999999999999,1)")
 
 
 def test_hasse_invariant_examples():
@@ -375,6 +389,88 @@ def test_rational_isotropy_against_point_search():
             found += 1
             assert is_isotropic_rational(f), (f, hit)
     assert found > 10  # the search should not have been vacuous
+
+
+# ---------------------------------------------------------------------------
+# the square-class kernel against the pairwise referee
+# ---------------------------------------------------------------------------
+
+# A_69's 41-digit cofactor, 20210499584198062453 * 3090850068576441179447
+A69_COFACTOR_FORM = "62467624025782717275851531008059486003491,1,-1"
+
+
+def _assert_matches_referee(f: DiagonalForm, g: DiagonalForm, places) -> None:
+    entries = f.entries
+    for v in places:
+        assert hasse_invariant(f, v) == oracles.hasse_pairwise(entries, v), (f, v)
+        assert witt_index(f, v) == oracles.witt_index_peel(entries, v), (f, v)
+        assert qp_equivalent(f, g, v) == \
+            oracles.qp_equivalent_pairwise(entries, g.entries, v), (f, g, v)
+    w = oracles.witt_index_rational_peel(entries)
+    assert witt_index_rational(f) == w, f
+    assert is_isotropic_rational(f) == (w >= 1), f
+
+
+def test_local_invariants_match_pairwise_referee_on_random_forms():
+    # Entries +-(1..30)/(1..30) in dimensions 1..6, at oo, at every prime
+    # dividing 2 * prod(num * den), and at 3, 5, 7.  The partner for
+    # qp_equivalent is a shuffled copy scaled by squares or a fresh form.
+    rng = random.Random(20261018)
+    small_primes = primes_up_to(30)
+
+    def draw(dim: int) -> DiagonalForm:
+        return DiagonalForm(tuple(
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+            for _ in range(dim)))
+
+    equivalences = set()
+    for _ in range(2000):
+        f = draw(rng.randint(1, 6))
+        scaled = [e * Fraction(rng.randint(1, 9), rng.randint(1, 9)) ** 2
+                  for e in f.entries]
+        rng.shuffle(scaled)
+        g = DiagonalForm(tuple(scaled)) if rng.random() < 0.5 else draw(f.dim)
+        primes = {2, 3, 5, 7} | {p for p in small_primes if any(
+            e.numerator * e.denominator % p == 0 for e in f.entries)}
+        places = [None, *sorted(primes)]
+        _assert_matches_referee(f, g, places)
+        equivalences.update(qp_equivalent(f, g, p) for p in primes)
+    assert equivalences == {True, False}
+
+
+def test_local_invariants_match_pairwise_referee_on_pm_forms(monkeypatch):
+    # Every <1^m, (-1)^n> with d = m + n <= 40 at 2, 3, 5.  The partner
+    # of the same rank has n + s (mod d + 1) negative entries, s cycling
+    # through 1 (the discriminants differ at 2 and 3), 2 (the Hasse
+    # invariants differ at 2) and 4 (equivalent at every p).  The
+    # referee's Hasse product is a pure function of (entries, place);
+    # caching it keeps its O(d^2) cost to one pass per form and place.
+    monkeypatch.setattr(oracles, "hasse_pairwise",
+                        functools.cache(oracles.hasse_pairwise))
+    for d in range(1, 41):
+        for n in range(d + 1):
+            k = (n + (1, 2, 4)[n % 3]) % (d + 1)
+            _assert_matches_referee(DiagonalForm.pm(d - n, n),
+                                    DiagonalForm.pm(d - k, k), (2, 3, 5))
+
+
+def test_local_functions_never_factor(monkeypatch):
+    def refuse(x):
+        raise AssertionError(f"factor({x}) called by a local function")
+
+    monkeypatch.setattr(qforms, "factor", refuse)
+    forms = [DiagonalForm.parse(A69_COFACTOR_FORM), DiagonalForm.pm(3, 2),
+             DiagonalForm.parse("6/35,-10/21,15/2,-1/77")]
+    for v in (2, 3, None):
+        for f in forms:
+            for a in f.entries:
+                square_class_key(a, v)
+                hilbert_symbol(a, f.entries[0], v)
+            hasse_invariant(f, v)
+            local_invariants(f, v)
+            assert qp_equivalent(f, f, v)
+            witt_index(f, v)
+        assert witt_index(forms[0], v) == 1
 
 
 # ---------------------------------------------------------------------------
