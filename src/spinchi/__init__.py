@@ -23,7 +23,7 @@ from .euler import (
     r_factor,
     s_arithmetic_sign,
 )
-from .exactq import FactoredInteger, PiExact, Rational, factor
+from .exactq import FactoredInteger, PiExact
 from .ggroups import SpinGroupDescriptor, spin_order_fp, vol_compact_dual, weyl_ratio
 from .profinite import (
     CommensurabilityReport,
@@ -52,13 +52,11 @@ __all__ = [
     "L2Profile",
     "PiExact",
     "Place",
-    "Rational",
     "SpinGroupDescriptor",
     "adelic_assembly_exact",
     "adelic_assembly_float",
     "chi_closed",
     "chi_sign",
-    "factor",
     "hasse_invariant",
     "hilbert_symbol",
     "is_isotropic_rational",

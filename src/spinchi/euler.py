@@ -41,7 +41,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .exactq import (
-    Factored,
+    FactoredInteger,
     PiExact,
     l_psi_exact_odd,
     primes_up_to,
@@ -69,7 +69,7 @@ def _case_tag(m: int, n: int) -> str:
 @dataclass(frozen=True)
 class EulerResult:
     descriptor: SpinGroupDescriptor
-    value: Fraction
+    value: int
     case: str
 
     @property
@@ -88,7 +88,7 @@ class EulerResult:
         if self.value == 0:
             return "0"
         desc = self.descriptor
-        return str(Factored.of(self.sign * math.comb(desc.l, desc.k))
+        return str(FactoredInteger.of(self.sign * math.comb(desc.l, desc.k))
                    * _dimension_factored(desc.d))
 
 
@@ -116,16 +116,16 @@ def _dimension_value(d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _zigzag_factored(i: int) -> Factored:
-    return Factored.of(zigzag(i))
+def _zigzag_factored(i: int) -> FactoredInteger:
+    return FactoredInteger.of(zigzag(i))
 
 
 @lru_cache(maxsize=None)
-def _dimension_factored(d: int) -> Factored:
+def _dimension_factored(d: int) -> FactoredInteger:
     """_dimension_value(d), assembled from the factored pieces."""
     a, indices = _dimension_pieces(d)
     return math.prod((_zigzag_factored(i) for i in indices),
-                     start=Factored(1, ((2, a),)))
+                     start=FactoredInteger(1, ((2, a),)))
 
 
 def chi_sign(m: int, n: int) -> int:
@@ -141,7 +141,7 @@ def chi_closed(m: int, n: int) -> EulerResult:
     desc = SpinGroupDescriptor(m, n)
     sign = chi_sign(m, n)
     value = sign * math.comb(desc.l, desc.k) * _dimension_value(desc.d) if sign else 0
-    return EulerResult(desc, Fraction(value), _case_tag(m, n))
+    return EulerResult(desc, value, _case_tag(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ class L2Profile:
     descriptor: SpinGroupDescriptor
     delta: int
     betti_degree: Optional[int]
-    betti_value: Fraction
+    betti_value: int
     ns_range: Optional[tuple[int, int]]
     ns_value: Optional[int]
     torsion_sign: int
@@ -283,7 +283,7 @@ def l2_profile(m: int, n: int) -> L2Profile:
         descriptor=desc,
         delta=1,
         betti_degree=None,
-        betti_value=Fraction(0),
+        betti_value=0,
         ns_range=((dim_x - delta) // 2, (dim_x + delta) // 2 - 1),
         ns_value=delta,
         torsion_sign=-1 if ((dim_x - 1) // 2) % 2 else 1,

@@ -13,10 +13,9 @@ powers of pi, and factored integers.  This module provides those scalars:
 * ``PiExact``: a rational multiple of pi^(k/2), closed under the ring
   operations we need; additions across different pi powers are refused
   rather than approximated.
-* ``FactoredInteger`` and ``factor``: signed prime factorizations of
-  integers; ``Factored``: signed factorizations of rationals, closed
-  under multiplication and division, so a product of factored pieces
-  never has to be factored again.
+* ``FactoredInteger``: the one factorization type, a signed prime
+  factorization of a nonzero integer.  Products add exponents, so a
+  product of factored pieces never has to be factored again.
 
 All functions are pure; memoization uses ``functools.lru_cache`` (safe
 under CPython threading).
@@ -32,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -340,7 +337,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
@@ -395,7 +392,11 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 
 @dataclass(frozen=True)
 class FactoredInteger:
-    """Signed prime factorization; ``factors`` is ((p, e), ...) by prime."""
+    """Signed prime factorization of a nonzero integer.
+
+    ``factors`` is ((p, e), ...) by ascending prime, every e >= 1; ``*``
+    adds exponents.
+    """
 
     sign: int
     factors: tuple[tuple[int, int], ...]
@@ -432,6 +433,14 @@ class FactoredInteger:
             v *= p ** e
         return v
 
+    def __mul__(self, other: "FactoredInteger") -> "FactoredInteger":
+        if not isinstance(other, FactoredInteger):
+            return NotImplemented
+        exponents = dict(self.factors)
+        for p, e in other.factors:
+            exponents[p] = exponents.get(p, 0) + e
+        return FactoredInteger(self.sign * other.sign, tuple(sorted(exponents.items())))
+
     def __str__(self) -> str:
         body = " * ".join(
             f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors
@@ -441,77 +450,6 @@ class FactoredInteger:
         return ("-" if self.sign < 0 else "") + body
 
 
-def factor(x: Scalar):
-    """Factor a nonzero integer or Rational.
-
-    Integers give one ``FactoredInteger``; non-integral rationals give a
-    ``(numerator, denominator)`` pair of them.
-    """
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise ValueError("cannot factor 0")
-        if x.denominator == 1:
-            return FactoredInteger.of(x.numerator)
-        return FactoredInteger.of(x.numerator), FactoredInteger.of(x.denominator)
-    if isinstance(x, int) and not isinstance(x, bool):
-        return FactoredInteger.of(x)
-    raise TypeError(f"cannot factor {x!r}")
-
-
-@dataclass(frozen=True)
-class Factored:
-    """Signed factorization of a nonzero rational.
-
-    ``factors`` is ((p, e), ...) by ascending prime, every e nonzero; the
-    primes of the denominator carry negative exponents.  Products and
-    quotients add and subtract exponents, so nothing is factored twice.
-    """
-
-    sign: int
-    factors: tuple[tuple[int, int], ...] = ()
-
-    @classmethod
-    def of(cls, x: Scalar) -> "Factored":
-        x = Fraction(x)
-        if x == 0:
-            raise ValueError("cannot factor 0")
-        num = FactoredInteger.of(x.numerator)
-        exponents = dict(num.factors)
-        if x.denominator > 1:
-            exponents.update((p, -e) for p, e in
-                             FactoredInteger.of(x.denominator).factors)
-        return cls(num.sign, tuple(sorted(exponents.items())))
-
-    def __mul__(self, other: "Factored") -> "Factored":
-        if not isinstance(other, Factored):
-            return NotImplemented
-        exponents = dict(self.factors)
-        for p, e in other.factors:
-            exponents[p] = exponents.get(p, 0) + e
-        return Factored(self.sign * other.sign,
-                        tuple(sorted((p, e) for p, e in exponents.items() if e)))
-
-    def __truediv__(self, other: "Factored") -> "Factored":
-        if not isinstance(other, Factored):
-            return NotImplemented
-        return self * Factored(other.sign, tuple((p, -e) for p, e in other.factors))
-
-    @property
-    def value(self) -> Fraction:
-        num, den = self.sign, 1
-        for p, e in self.factors:
-            if e > 0:
-                num *= p ** e
-            else:
-                den *= p ** -e
-        return Fraction(num, den)
-
-    def __str__(self) -> str:
-        num = FactoredInteger(self.sign, tuple((p, e) for p, e in self.factors if e > 0))
-        den = tuple((p, -e) for p, e in self.factors if e < 0)
-        return f"{num} / {FactoredInteger(1, den)}" if den else str(num)
-
-
 def format_factored(x: Scalar) -> str:
     """Render an exact value as a signed prime power product.
 
@@ -519,4 +457,7 @@ def format_factored(x: Scalar) -> str:
     " / " between numerator and denominator factorizations.
     """
     x = Fraction(x)
-    return "0" if x == 0 else str(Factored.of(x))
+    if x == 0:
+        return "0"
+    num = FactoredInteger.of(x.numerator)
+    return f"{num} / {FactoredInteger.of(x.denominator)}" if x.denominator > 1 else str(num)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exactq import factor
+from .exactq import FactoredInteger
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +60,7 @@ def squarefree_rep(a: Fraction | int) -> int:
     a = Fraction(a)
     if a == 0:
         raise ValueError("need a nonzero value")
-    fi = factor(a.numerator * a.denominator)
+    fi = FactoredInteger.of(a.numerator * a.denominator)
     out = fi.sign
     for p, e in fi.factors:
         if e % 2:
@@ -167,7 +167,7 @@ def witt_index_rational_peel(entries: Sequence) -> int:
     disc = _disc_rep(entries)
     primes = {2}
     for a in entries:
-        primes.update(p for p, _ in factor(squarefree_rep(a)).factors)
+        primes.update(p for p, _ in FactoredInteger.of(squarefree_rep(a)).factors)
     hasse = {p: hasse_pairwise(entries, p) for p in primes}
     index = 0
     while dim >= 2 and min(pos, neg) > 0:

@@ -135,7 +135,7 @@ def sweep_theorem_frank_dim(d_max: int) -> SweepReport:
         if ca.sign != cb.sign:
             violations.append(f"{a}/{b}: sign mismatch")
         if ca.value and cb.value:
-            ratio = ca.value / cb.value
+            ratio = Fraction(ca.value, cb.value)
             two_power = abs(ratio.numerator) == 1 or abs(ratio.denominator) == 1
             two_power = two_power and (
                 abs(ratio.numerator * ratio.denominator).bit_count() == 1)
@@ -155,8 +155,8 @@ def sweep_theorem_frank_dim(d_max: int) -> SweepReport:
 class ChiMismatchPair:
     first: tuple[int, int]
     second: tuple[int, int]
-    chi_first: Fraction
-    chi_second: Fraction
+    chi_first: int
+    chi_second: int
 
 
 def sweep_euler_not_profinite(d_max: int) -> list[ChiMismatchPair]:

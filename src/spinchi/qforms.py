@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactq import factor, is_prime
+from .exactq import FactoredInteger, is_prime
 
 Scalar = int | Fraction
 
@@ -306,7 +306,7 @@ def anisotropic_dim(form: DiagonalForm, v: "Place | int | None") -> int:
 def _relevant_primes(form: DiagonalForm) -> list[int]:
     primes = {2}
     for e in form.entries:
-        primes.update(p for p, _ in factor(e.numerator * e.denominator).factors)
+        primes.update(p for p, _ in FactoredInteger.of(e.numerator * e.denominator).factors)
     return sorted(primes)
 
 

@@ -68,15 +68,12 @@ def _r_factor_three_cases(d: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def test_chi_frozen_values():
-    assert chi_closed(8, 2).value == Fraction(2 ** 89 * 25 * 17)
-    assert chi_closed(4, 6).value == Fraction(2 ** 90 * 25 * 17)
-    assert chi_closed(2, 1).value == Fraction(-8)
-    assert chi_closed(1, 2).value == Fraction(-8)
-    assert chi_closed(2, 2).value == Fraction(512)
-    assert chi_closed(4, 1).value == Fraction(2 ** 15)
-    assert chi_closed(2, 3).value == Fraction(-(2 ** 16))
-    assert chi_closed(3, 3).value == 0
-    assert chi_closed(5, 5).value == 0
+    frozen = {(8, 2): 2 ** 89 * 25 * 17, (4, 6): 2 ** 90 * 25 * 17,
+              (2, 1): -8, (1, 2): -8, (2, 2): 512, (4, 1): 2 ** 15,
+              (2, 3): -(2 ** 16), (3, 3): 0, (5, 5): 0}
+    for (m, n), want in frozen.items():
+        value = chi_closed(m, n).value
+        assert type(value) is int and value == want, (m, n)
 
 
 def test_chi_factored_strings():
@@ -268,7 +265,8 @@ def test_l2_profile_single_betti_case():
     prof = l2_profile(8, 2)
     assert prof.delta == 0
     assert prof.betti_degree == 8
-    assert prof.betti_value == Fraction(2 ** 89 * 25 * 17)
+    assert type(prof.betti_value) is int
+    assert prof.betti_value == 2 ** 89 * 25 * 17
     assert prof.ns_range is None and prof.ns_value is None
     assert prof.torsion_sign == 0
 
@@ -277,7 +275,7 @@ def test_l2_profile_vanishing_case():
     prof = l2_profile(5, 5)
     assert prof.delta == 1
     assert prof.betti_degree is None
-    assert prof.betti_value == 0
+    assert type(prof.betti_value) is int and prof.betti_value == 0
     assert prof.ns_range == (12, 12)
     assert prof.ns_value == 1
     assert prof.torsion_sign == 1

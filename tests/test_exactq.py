@@ -19,7 +19,6 @@ import pytest
 from spinchi import exactq
 from spinchi.exactq import (
     _TRIAL_BOUND,
-    Factored,
     FactoredInteger,
     PiExact,
     PiPowerMismatchError,
@@ -27,7 +26,6 @@ from spinchi.exactq import (
     bernoulli,
     bernoulli_poly,
     euler_number,
-    factor,
     format_factored,
     gamma_half,
     gen_bernoulli_mod4,
@@ -429,33 +427,26 @@ def test_factored_integer_at_the_trial_bound():
         assert fi.value == n
 
 
-def test_factored_rationals():
-    x = Factored.of(Fraction(-17, 2 ** 11))
-    assert x == Factored(-1, ((2, -11), (17, 1)))
-    assert x.value == Fraction(-17, 2 ** 11)
-    assert str(x) == "-17 / 2^11"
-    assert str(Factored.of(Fraction(1, 8))) == "1 / 2^3"
-    assert str(Factored.of(-1)) == "-1"
-    assert str(Factored.of(6) / Factored.of(6)) == "1"
-    with pytest.raises(ValueError):
-        Factored.of(0)
+def test_factored_integer_products():
+    # products add exponents and multiply signs, with the primes ascending
+    assert FactoredInteger.of(-1) * FactoredInteger.of(-1) == FactoredInteger.of(1)
+    assert FactoredInteger.of(12) * FactoredInteger.of(-1) == FactoredInteger(-1, ((2, 2), (3, 1)))
     rng = random.Random(5)
     for _ in range(100):
-        a, b = (Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 6))
+        a, b = (rng.choice((-1, 1)) * rng.choice((1, rng.randrange(1, 10 ** 6)))
                 for _ in range(2))
-        fa, fb = Factored.of(a), Factored.of(b)
-        assert fa * fb == Factored.of(a * b)
-        assert fa / fb == Factored.of(a / b)
-        assert (fa / fb).value == a / b
+        fa, fb = FactoredInteger.of(a), FactoredInteger.of(b)
+        product = fa * fb
+        assert product == FactoredInteger.of(a * b), (a, b)
+        assert product.value == a * b
+        assert [p for p, _ in product.factors] == sorted({p for p, _ in product.factors})
         assert str(fa) == format_factored(a)
-        assert [p for p, _ in fa.factors] == sorted({p for p, _ in fa.factors})
 
 
-def test_factor_handles_rationals():
+def test_format_factored_rationals():
+    assert format_factored(Fraction(-17, 2 ** 11)) == "-17 / 2^11"
     assert format_factored(Fraction(17, 2 ** 11)) == "17 / 2^11"
+    assert format_factored(Fraction(1, 8)) == "1 / 2^3"
     assert format_factored(Fraction(-8)) == "-2^3"
+    assert format_factored(-1) == "-1"
     assert format_factored(Fraction(0)) == "0"
-    num, den = factor(Fraction(17, 2048))
-    assert num.value == 17 and den.value == 2048
-    whole = factor(Fraction(512))
-    assert isinstance(whole, FactoredInteger) and whole.value == 512

@@ -23,7 +23,7 @@ from fractions import Fraction
 import pytest
 
 from spinchi import oracles, qforms
-from spinchi.exactq import primes_up_to
+from spinchi.exactq import FactoredInteger, primes_up_to
 from spinchi.oracles import (
     hilbert_bruteforce,
     hilbert_closed,
@@ -455,10 +455,10 @@ def test_local_invariants_match_pairwise_referee_on_pm_forms(monkeypatch):
 
 
 def test_local_functions_never_factor(monkeypatch):
-    def refuse(x):
-        raise AssertionError(f"factor({x}) called by a local function")
+    def refuse(n):
+        raise AssertionError(f"FactoredInteger.of({n}) called by a local function")
 
-    monkeypatch.setattr(qforms, "factor", refuse)
+    monkeypatch.setattr(FactoredInteger, "of", refuse)
     forms = [DiagonalForm.parse(A69_COFACTOR_FORM), DiagonalForm.pm(3, 2),
              DiagonalForm.parse("6/35,-10/21,15/2,-1/77")]
     for v in (2, 3, None):
