@@ -4,11 +4,14 @@ Blades are bitmasks: bit i-1 set means the generator e_i is present, so
 e({1,2}) is the mask 0b11.  The sign of e(J) e(K) is the parity of the
 inversions of the concatenation plus one -1 per repeated index with
 negative square; a product folds both into one sign mask per left blade
-J, so each term costs an AND and a popcount.  Everything is generic over
-a coefficient ring; we only ever need the ring operations listed on
-``CoefficientRing``, which keeps Z, Q, F_p, Z/2^N and dual numbers on one
-code path.  Rings whose elements are Python numbers accumulate a product
-with native + and - and reduce once per output blade.
+J, so each term costs an AND and a popcount.
+
+Z, Q, F_p, Z/N and dual numbers share one coefficient protocol
+(``CoefficientRing``): elements are Python numbers, or ``Dual`` pairs of
+them, combined with their own +, - and *.  The ring's ``from_int`` maps
+any such result to its one stored form, and ``CliffordElement`` applies
+it once, in its constructor, before dropping zeros; so a product sums
+raw terms per output blade and is reduced once.
 
 The 2-adic exponential and logarithm check their input up front (4 times
 the integral Lie algebra for exp, 1 + 4*C_0 for log, else
@@ -23,6 +26,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
+
+from .exactq import is_prime
 
 Blade = int
 
@@ -103,36 +108,21 @@ def sign_mask(j: Blade, m: int) -> int:
 
 
 class CoefficientRing:
-    """Commutative ring with identity, decidable equality, known 2-torsion.
+    """Commutative ring with identity whose elements are Python numbers.
 
-    ``ann2_generators`` returns generators of {a : 2a = 0}; that is what
-    the even Clifford Lie algebra needs beyond the grade-2 part.
-    ``native`` rings store Python numbers whose own +, - and * agree with
-    the ring's up to ``from_int``, which reduces any such result.
+    Elements combine with their own +, - and *; ``from_int`` maps any
+    such result, or an int, to the ring's one stored form, so equality of
+    stored forms is equality in the ring.  ``ann2_generators`` returns
+    generators of {a : 2a = 0}; that is what the even Clifford Lie
+    algebra needs beyond the grade-2 part.
     """
 
     name = "ring"
-    native = False
     zero: Any
     one: Any
 
-    def add(self, a, b):
+    def from_int(self, k):
         raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def from_int(self, k: int):
-        raise NotImplementedError
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero)
 
     def ann2_generators(self) -> tuple:
         return ()
@@ -150,18 +140,8 @@ class CoefficientRing:
 
 class IntegerRing(CoefficientRing):
     name = "Z"
-    native = True
     zero = 0
     one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def from_int(self, k):
         return k
@@ -179,8 +159,6 @@ class RationalRing(IntegerRing):
 class ModularRing(CoefficientRing):
     """Z/modulus, elements stored as ints in [0, modulus)."""
 
-    native = True
-
     def __init__(self, modulus: int):
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
@@ -188,15 +166,6 @@ class ModularRing(CoefficientRing):
         self.name = f"Z/{modulus}"
         self.zero = 0
         self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def neg(self, a):
-        return -a % self.modulus
-
-    def mul(self, a, b):
-        return a * b % self.modulus
 
     def from_int(self, k):
         return k % self.modulus
@@ -210,42 +179,56 @@ class PrimeField(ModularRing):
     """F_p = Z/p, elements stored as ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2:
+        if not is_prime(p):
             raise ValueError("p must be prime")
         super().__init__(p)
         self.p = p
         self.name = f"F_{p}"
 
 
+class Dual(tuple):
+    """a + eps*b with eps^2 = 0, stored as the pair (a, b)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b):
+        return tuple.__new__(cls, (a, b))
+
+    def __add__(self, other):
+        return Dual(self[0] + other[0], self[1] + other[1])
+
+    def __sub__(self, other):
+        return Dual(self[0] - other[0], self[1] - other[1])
+
+    def __neg__(self):
+        return Dual(-self[0], -self[1])
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self[0] * other[0], self[0] * other[1] + self[1] * other[0])
+        return Dual(self[0] * other, self[1] * other)
+
+    __rmul__ = __mul__
+
+
 class DualNumbers(CoefficientRing):
-    """base[eps]/(eps^2); elements are (a, b) meaning a + eps*b."""
+    """base[eps]/(eps^2); elements are ``Dual`` pairs (a, b) meaning a + eps*b."""
 
     def __init__(self, base: CoefficientRing):
         self.base = base
         self.name = f"{base.name}[eps]"
-        self.zero = (base.zero, base.zero)
-        self.one = (base.one, base.zero)
-
-    def add(self, a, b):
-        return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.base.neg(a[0]), self.base.neg(a[1]))
-
-    def mul(self, a, b):
-        return (self.base.mul(a[0], b[0]),
-                self.base.add(self.base.mul(a[0], b[1]),
-                              self.base.mul(a[1], b[0])))
+        self.zero = Dual(base.zero, base.zero)
+        self.one = Dual(base.one, base.zero)
 
     def from_int(self, k):
-        return (self.base.from_int(k), self.base.zero)
-
-    def eq(self, a, b):
-        return self.base.eq(a[0], b[0]) and self.base.eq(a[1], b[1])
+        """Reduce both parts of a pair (a, b), or read an int k as (k, 0)."""
+        a, b = k if isinstance(k, tuple) else (k, 0)
+        return Dual(self.base.from_int(a), self.base.from_int(b))
 
     def ann2_generators(self):
-        return tuple((g, self.base.zero) for g in self.base.ann2_generators()) + \
-            tuple((self.base.zero, g) for g in self.base.ann2_generators())
+        z = self.base.zero
+        gens = self.base.ann2_generators()
+        return tuple(Dual(g, z) for g in gens) + tuple(Dual(z, g) for g in gens)
 
 
 ZZ = IntegerRing()
@@ -265,11 +248,13 @@ class CliffordElement:
                  coeffs: dict[Blade, Any] | None = None):
         self.sig = sig
         self.ring = ring
+        canon, zero = ring.from_int, ring.zero
         clean: dict[Blade, Any] = {}
         for blade, c in (coeffs or {}).items():
             if blade >> sig.d:
                 raise ValueError(f"blade {blade:#x} outside dimension {sig.d}")
-            if not ring.is_zero(c):
+            c = canon(c)
+            if c != zero:
                 clean[blade] = c
         self.coeffs = clean
 
@@ -310,14 +295,13 @@ class CliffordElement:
     def __add__(self, other: "CliffordElement") -> "CliffordElement":
         self._compat(other)
         out = dict(self.coeffs)
+        zero = self.ring.zero
         for b, c in other.coeffs.items():
-            out[b] = self.ring.add(out.get(b, self.ring.zero), c)
+            out[b] = out.get(b, zero) + c
         return CliffordElement(self.sig, self.ring, out)
 
     def __neg__(self) -> "CliffordElement":
-        return CliffordElement(
-            self.sig, self.ring,
-            {b: self.ring.neg(c) for b, c in self.coeffs.items()})
+        return CliffordElement(self.sig, self.ring, {b: -c for b, c in self.coeffs.items()})
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return self + (-other)
@@ -326,46 +310,31 @@ class CliffordElement:
         if not isinstance(other, CliffordElement):
             return self.scale(other)
         self._compat(other)
-        ring, m = self.ring, self.sig.m
+        m, zero = self.sig.m, self.ring.zero
         right = other.coeffs.items()
         out: dict[Blade, Any] = {}
         get = out.get
-        if ring.native:
-            for b1, c1 in self.coeffs.items():
-                s = sign_mask(b1, m)
-                for b2, c2 in right:
-                    b = b1 ^ b2
-                    if (s & b2).bit_count() & 1:
-                        out[b] = get(b, 0) - c1 * c2
-                    else:
-                        out[b] = get(b, 0) + c1 * c2
-            out = {b: ring.from_int(c) for b, c in out.items()}
-        else:
-            for b1, c1 in self.coeffs.items():
-                s = sign_mask(b1, m)
-                for b2, c2 in right:
-                    b = b1 ^ b2
-                    term = ring.mul(c1, c2)
-                    if (s & b2).bit_count() & 1:
-                        term = ring.neg(term)
-                    out[b] = ring.add(get(b, ring.zero), term)
-        return CliffordElement(self.sig, ring, out)
+        for b1, c1 in self.coeffs.items():
+            s = sign_mask(b1, m)
+            for b2, c2 in right:
+                b = b1 ^ b2
+                if (s & b2).bit_count() & 1:
+                    out[b] = get(b, zero) - c1 * c2
+                else:
+                    out[b] = get(b, zero) + c1 * c2
+        return CliffordElement(self.sig, self.ring, out)
 
     def __rmul__(self, other) -> "CliffordElement":
         # ring scalars commute with everything
         return self.scale(other)
 
     def scale(self, c) -> "CliffordElement":
-        if isinstance(c, int):
-            c = self.ring.from_int(c)
-        return CliffordElement(
-            self.sig, self.ring,
-            {b: self.ring.mul(c, v) for b, v in self.coeffs.items()})
+        return CliffordElement(self.sig, self.ring, {b: c * v for b, v in self.coeffs.items()})
 
     def _signed_map(self, flips) -> "CliffordElement":
         """Negate the blades of grade c with flips(c) odd."""
         return CliffordElement(self.sig, self.ring, {
-            b: self.ring.neg(c) if flips(b.bit_count()) & 1 else c
+            b: -c if flips(b.bit_count()) & 1 else c
             for b, c in self.coeffs.items()})
 
     def iota(self) -> "CliffordElement":
@@ -383,11 +352,8 @@ class CliffordElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        if self.sig != other.sig or self.ring != other.ring:
-            return False
-        if self.coeffs.keys() != other.coeffs.keys():
-            return False
-        return all(self.ring.eq(c, other.coeffs[b]) for b, c in self.coeffs.items())
+        return (self.sig == other.sig and self.ring == other.ring
+                and self.coeffs == other.coeffs)
 
     __hash__ = None
 
@@ -464,23 +430,15 @@ def _lift(x: CliffordElement, bits: int, scalar: int, what: str) -> CliffordElem
             raise TwoAdicIntegralityError(
                 f"coefficient {c} of {blade_str(b)}: {what} needs {scalar} mod 4*C_0")
     ring = ModularRing(1 << (bits + bits.bit_length() - 1))
-    return CliffordElement(x.sig, ring, {b: ring.from_int(c.numerator)
-                                         for b, c in x.coeffs.items()})
+    return CliffordElement(x.sig, ring, {b: c.numerator for b, c in x.coeffs.items()})
 
 
 def _divide_exact(y: CliffordElement, k: int) -> CliffordElement:
     """y / k over Z/2^K for y divisible by 2^v, v = v_2(k): shift out 2^v
     (leaving y/2^v known mod 2^(K-v)), times the inverse of k / 2^v."""
-    mod = y.ring.modulus
     v = (k & -k).bit_length() - 1
-    inv = pow(k >> v, -1, mod)
-    return CliffordElement(y.sig, y.ring,
-                           {b: (c >> v) * inv % mod for b, c in y.coeffs.items()})
-
-
-def _reduce_bits(x: CliffordElement, bits: int) -> CliffordElement:
-    mod = 1 << bits
-    return CliffordElement(x.sig, ModularRing(mod), {b: c % mod for b, c in x.coeffs.items()})
+    inv = pow(k >> v, -1, y.ring.modulus)
+    return CliffordElement(y.sig, y.ring, {b: (c >> v) * inv for b, c in y.coeffs.items()})
 
 
 def clifford_exp(x: CliffordElement, bits: int) -> CliffordElement:
@@ -500,7 +458,7 @@ def clifford_exp(x: CliffordElement, bits: int) -> CliffordElement:
     for k in range(1, bits + 1):
         term = _divide_exact(term * x, k)
         acc = acc + term
-    return _reduce_bits(acc, bits)
+    return CliffordElement(acc.sig, ModularRing(1 << bits), acc.coeffs)
 
 
 def clifford_log(g: CliffordElement, bits: int) -> CliffordElement:
@@ -517,4 +475,4 @@ def clifford_log(g: CliffordElement, bits: int) -> CliffordElement:
     for k in range(2, bits + 1):
         power = power * a
         acc = acc + _divide_exact(power, k if k & 1 else -k)  # (-1)^(k-1) / k
-    return _reduce_bits(acc, bits)
+    return CliffordElement(acc.sig, ModularRing(1 << bits), acc.coeffs)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .euler import EulerResult, chi_closed
+from .euler import EulerResult, chi_closed, chi_sign
 from .ggroups import SpinGroupDescriptor
 from .qforms import genus_first_failure, witt_index_rational
 
@@ -127,18 +127,16 @@ def sweep_theorem_frank_dim(d_max: int) -> SweepReport:
             members.add(b)
         if (a[0] * a[1] - b[0] * b[1]) % 4:
             violations.append(f"{a}/{b}: dim X not equal mod 4")
-        da = SpinGroupDescriptor(*a).delta
-        db = SpinGroupDescriptor(*b).delta
-        if da != db:
+        da, db = SpinGroupDescriptor(*a), SpinGroupDescriptor(*b)
+        if da.delta != db.delta:
             violations.append(f"{a}/{b}: delta mismatch")
-        ca, cb = chi_closed(*a), chi_closed(*b)
-        if ca.sign != cb.sign:
+        sa, sb = chi_sign(*a), chi_sign(*b)
+        if sa != sb:
             violations.append(f"{a}/{b}: sign mismatch")
-        if ca.value and cb.value:
-            ratio = Fraction(ca.value, cb.value)
-            two_power = abs(ratio.numerator) == 1 or abs(ratio.denominator) == 1
-            two_power = two_power and (
-                abs(ratio.numerator * ratio.denominator).bit_count() == 1)
+        if sa and sb:
+            # equal d: chi(a) / chi(b) = sign_a C(l, k_a) / (sign_b C(l, k_b))
+            ratio = Fraction(sa * math.comb(da.l, da.k), sb * math.comb(db.l, db.k))
+            two_power = abs(ratio.numerator * ratio.denominator).bit_count() == 1
             notes.append(f"{a}/{b}: chi ratio {ratio}"
                          + ("" if two_power else " (not a power of 2)"))
     return SweepReport(

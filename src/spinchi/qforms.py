@@ -42,9 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactq import FactoredInteger, is_prime
-
-Scalar = int | Fraction
+from .exactq import FactoredInteger, Scalar, is_prime
 
 PM_RANK_LIMIT = 10 ** 5
 """Largest rank m + n that ``DiagonalForm.pm`` (and ``b(m,n)``) builds."""
