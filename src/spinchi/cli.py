@@ -184,6 +184,15 @@ def _suite_clifford() -> None:
         back = clifford.clifford_log(g, 8)
         want = {b: c % 256 for b, c in coeffs.items() if c % 256}
         assert dict(back.coeffs) == want, "log(exp) != id"
+    # dense products at d = 10, large enough for the packed kernel
+    sig = clifford.Signature(4, 6)
+    for ring, lo, hi in ((clifford.ModularRing(256), 1, 255), (clifford.ZZ, -2 ** 20, 2 ** 20)):
+        x, y = (clifford.CliffordElement(sig, ring, {b: rng.randint(lo, hi) for b in range(1 << 10)})
+                for _ in range(2))
+        z = x * y
+        for b in rng.sample(range(1 << 10), 8):
+            assert z.coefficient(b) == oracles.product_coefficient(x, y, b), \
+                f"dense product over {ring}, blade {b:#x}"
 
 
 def _random_element(rng, sig, ring):

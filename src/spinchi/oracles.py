@@ -5,6 +5,11 @@ against ``hilbert_bruteforce``, and the Hasse invariants, Witt indices,
 Q_p-equivalence and rational isotropy of ``qforms`` against the pairwise
 referee below (``hasse_pairwise``, ``witt_index_peel``,
 ``qp_equivalent_pairwise``, ``witt_index_rational_peel``).
+``spinchi verify clifford`` and the tests compare Clifford products
+against the term-by-term sums of ``product_coefficient`` (signs from
+``blade_mul``, not from ``sign_mask`` or the packed kernel), and
+``is_spin_element`` against ``is_spin_element_conjugates``, which forms
+every conjugate g e_i gbar.
 """
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from .clifford import Blade, CliffordElement, blade_mul
 from .exactq import FactoredInteger
 
 
@@ -185,3 +191,43 @@ def witt_index_rational_peel(entries: Sequence) -> int:
             hasse[p] *= hilbert_closed(-1, disc, p)
         index += 1
     return index
+
+
+# ---------------------------------------------------------------------------
+# Clifford products and spin membership, term by term
+
+
+def product_coefficient(x: CliffordElement, y: CliffordElement, blade: Blade):
+    """The coefficient of ``blade`` in x y: the sum of x_J y_K e(J) e(K)
+    over J xor K = blade, signs from ``blade_mul``, reduced after every term."""
+    ring = x.ring
+    total = ring.zero
+    for b1, c1 in x.coeffs.items():
+        c2 = y.coeffs.get(b1 ^ blade)
+        if c2 is not None:
+            sign, _ = blade_mul(b1, b1 ^ blade, x.sig)
+            total = ring.from_int(total + sign * (c1 * c2))
+    return total
+
+
+def product_termwise(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    """x y, one ``product_coefficient`` per blade J xor K it can reach."""
+    blades = {b1 ^ b2 for b1 in x.coeffs for b2 in y.coeffs}
+    return CliffordElement(x.sig, x.ring, {b: product_coefficient(x, y, b) for b in blades})
+
+
+def is_spin_element_conjugates(g: CliffordElement) -> bool:
+    """Spin membership by forming g gbar and each conjugate g e_i gbar.
+
+    Raises ValueError on odd-blade support, as ``is_spin_element`` does.
+    """
+    if not g.is_even():
+        raise ValueError("spin elements live in the even subalgebra")
+    gbar = g.conjugate()
+    if g * gbar != CliffordElement.one(g.sig, g.ring):
+        return False
+    for i in range(1, g.sig.d + 1):
+        h = g * CliffordElement.generator(g.sig, g.ring, i) * gbar
+        if any(b.bit_count() != 1 for b in h.coeffs):
+            return False
+    return True

@@ -3,18 +3,23 @@
 The blade product is checked exhaustively against a naive oracle that
 bubble-sorts the concatenated index sequence and cancels repeated
 indices; the involutions are checked against products of generators in
-reversed order.  Randomized loops cover the algebra laws and the spin
-conditions; the 2-adic exponential and logarithm are verified to be
-two-sided inverses landing inside the spin group.
+reversed order.  Element products, by either kernel, are checked against
+the term-by-term sums of ``spinchi.oracles`` and ``is_spin_element``
+against the referee that forms every conjugate.  Randomized loops cover
+the algebra laws and the spin conditions; the 2-adic exponential and
+logarithm are verified to be two-sided inverses landing inside the spin
+group.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from spinchi import clifford, oracles
 from spinchi.clifford import (
     QQ,
     ZZ,
@@ -201,6 +206,20 @@ def test_constructor_stores_canonical_coefficients():
     assert 2 * y == y.scale(2) == CliffordElement(sig, dual, {0b11: (2, 2), 0: 10})
 
 
+def test_integer_rings_store_ints():
+    # Z and Z/N store every coefficient as an int, which the packed product
+    # relies on: an integral Fraction becomes its numerator, anything else
+    # is refused
+    sig = Signature(2, 0)
+    for ring in (ZZ, ModularRing(8), PrimeField(5)):
+        x = CliffordElement(sig, ring, {0: Fraction(6, 2), 0b11: True})
+        assert x.coeffs == {0: 3, 0b11: 1}
+        assert all(type(c) is int for c in x.coeffs.values())
+        for bad in (Fraction(1, 2), 0.5, 2.0, "3"):
+            with pytest.raises(TypeError):
+                CliffordElement(sig, ring, {0: bad})
+
+
 # ---------------------------------------------------------------------------
 # elements and involutions
 # ---------------------------------------------------------------------------
@@ -262,20 +281,11 @@ def test_product_laws_random():
             assert (x * y).grade_involution() == x.grade_involution() * y.grade_involution()
 
 
-def _termwise_product(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    ring = x.ring
-    out: dict = {}
-    for b1, c1 in x.coeffs.items():
-        for b2, c2 in y.coeffs.items():
-            sign, b = blade_mul(b1, b2, x.sig)
-            out[b] = ring.from_int(out.get(b, ring.zero) + sign * (c1 * c2))
-    return CliffordElement(x.sig, ring, out)
-
-
-def test_product_matches_termwise_blade_mul_sum():
-    # the product sums raw terms per blade and reduces once; the oracle
-    # reduces after every term and takes its signs from blade_mul
-    rng = random.Random(8080)
+def _product_cases(rng: random.Random):
+    """(x, y) pairs: random supports at d <= 7 over every ring; dense
+    operands at d = 8..10 over Z/2^11, F_p and Z (negative and > 2^64
+    coefficients); d = 1 with m in {0, d}; all coefficients N - 1; and
+    sparse x dense in both orders."""
     dual = DualNumbers(ModularRing(16))
     for ring in (ZZ, QQ, PrimeField(7), ModularRing(64), dual):
         def coeff():
@@ -285,13 +295,63 @@ def test_product_matches_termwise_blade_mul_sum():
             d = rng.randint(1, 7)
             sig = Signature(m := rng.randint(0, d), d - m)
             terms = rng.choice((3, 12, 1 << d))
-            x, y = (CliffordElement(sig, ring, {rng.randrange(1 << d): coeff()
-                                                for _ in range(terms)}) for _ in range(2))
-            z = x * y
-            assert z == _termwise_product(x, y), (ring, sig)
-            # every stored coefficient is reduced, as the ring stores it
-            assert all(ring.from_int(c) == c for c in z.coeffs.values())
-            assert all(type(c) is type(ring.one) for c in z.coeffs.values())
+            yield tuple(CliffordElement(sig, ring, {rng.randrange(1 << d): coeff()
+                                                    for _ in range(terms)}) for _ in range(2))
+    for ring in (ZZ, ModularRing(2), PrimeField(3)):
+        for m in (0, 1):
+            sig = Signature(m, 1 - m)
+            for a, b, c, e in itertools.product((0, 1, -1), repeat=4):
+                yield (CliffordElement(sig, ring, {0: a, 1: b}),
+                       CliffordElement(sig, ring, {0: c, 1: e}))
+    big = 1 << 70
+    for d in (8, 9, 10):
+        sig = Signature(m := rng.randint(0, d), d - m)
+        blades = range(1 << d)
+        for ring, lo, hi in ((ModularRing(1 << 11), 1, (1 << 11) - 1), (PrimeField(5), 1, 4),
+                             (PrimeField(65537), 1, 65536), (ZZ, -big, big)):
+            dense = [CliffordElement(sig, ring, {b: rng.randint(lo, hi) for b in blades})
+                     for _ in range(2)]
+            yield tuple(dense)
+            sparse = CliffordElement(sig, ring, {b: rng.randint(lo, hi)
+                                                 for b in rng.sample(blades, d)})
+            yield sparse, dense[0]
+            yield dense[1], sparse
+        for modulus in (1 << 11, 5):
+            ring = ModularRing(modulus)
+            top = CliffordElement(sig, ring, {b: modulus - 1 for b in blades})
+            yield top, top
+
+
+def test_product_matches_termwise_blade_mul_sum():
+    # the product sums raw terms per blade and reduces once, by the
+    # sign-mask loop or the packed kernel; the oracle reduces after every
+    # term and takes its signs from blade_mul.  Dense operands at d >= 8
+    # are checked on sampled blades, the corners 0 and 2^d - 1 among them.
+    rng = random.Random(8080)
+    for x, y in _product_cases(rng):
+        ring, d = x.ring, x.sig.d
+        z = x * y
+        if d <= 7:
+            assert z == oracles.product_termwise(x, y), (ring, x.sig)
+        else:
+            for b in [0, (1 << d) - 1] + rng.sample(range(1 << d), 6):
+                assert z.coefficient(b) == oracles.product_coefficient(x, y, b), (ring, x.sig, b)
+        # every stored coefficient is reduced, as the ring stores it
+        assert all(ring.from_int(c) == c for c in z.coeffs.values())
+        assert all(type(c) is type(ring.one) for c in z.coeffs.values())
+
+
+def test_packed_kernel_matches_sign_mask_loop(monkeypatch):
+    # both kernels on every integer case up to d = 9, whichever one __mul__
+    # would pick: the packed one called directly, the loop with the
+    # threshold out of reach
+    rng = random.Random(8081)
+    cases = [(x, y) for x, y in _product_cases(rng)
+             if type(x.ring.zero) is int and x.coeffs and y.coeffs and x.sig.d <= 9]
+    monkeypatch.setattr(clifford, "PACKED_MIN_TERMS", float("inf"))
+    for x, y in cases:
+        packed = CliffordElement(x.sig, x.ring, clifford._packed_product(x.coeffs, y.coeffs, x.sig))
+        assert packed == x * y, (x.ring, x.sig)
 
 
 def test_element_basics():
@@ -355,6 +415,39 @@ def test_spin_elements_multiply_and_invert():
     assert is_spin_element(g * h)
     assert is_spin_element(g.conjugate())  # inverse of a spin element
     assert g * g.conjugate() == CliffordElement.one(sig, QQ)
+
+
+def test_spin_test_agrees_with_conjugate_referee():
+    # is_spin_element (one full product, dot products, g e_i = w_i g)
+    # against the referee that forms every conjugate g e_i gbar
+    rng = random.Random(4096)
+    cases = []
+    for d in range(2, 10):
+        for _ in range(3 if d < 8 else 1):
+            sig = Signature(m := rng.randint(0, d), d - m)
+            g = clifford_exp(_random_lie_multiple_of_4(rng, sig, 8), 8)
+            even = [b for b in range(1 << d) if b.bit_count() % 2 == 0]
+            blade = rng.choice(even)
+            cases += [g, g + CliffordElement.blade(sig, g.ring, blade, rng.choice((64, 128))),
+                      g + CliffordElement.blade(sig, g.ring, blade, rng.randrange(1, 256))]
+    base = ModularRing(16)
+    dual = DualNumbers(base)
+    for sig in (Signature(2, 2), Signature(3, 1), Signature(4, 0)):
+        one = CliffordElement.one(sig, dual)
+        for x in lie_algebra_basis(sig, base):
+            cases.append(one + CliffordElement(sig, dual, {b: (0, c) for b, c in x.coeffs.items()}))
+        cases += [one + CliffordElement(sig, dual, {b: (0, 1)}) for b in (0, 0b1111)]
+    # g = 3/5 + 4/5 e{1..6}: g gbar = 1, but g e_1 gbar has a grade-5 part
+    sig6, top = Signature(6, 0), 0b111111
+    norm_only = [CliffordElement(sig6, QQ, {0: Fraction(3, 5), top: Fraction(4, 5)}),
+                 CliffordElement(sig6, PrimeField(13), {0: 3 * 8, top: 4 * 8})]  # 1/5 = 8
+    for g in norm_only:
+        assert g * g.conjugate() == CliffordElement.one(sig6, g.ring)
+    cases += norm_only
+    verdicts = [is_spin_element(g) for g in cases]
+    assert verdicts == [oracles.is_spin_element_conjugates(g) for g in cases]
+    assert True in verdicts and False in verdicts
+    assert not any(is_spin_element(g) for g in norm_only)
 
 
 # ---------------------------------------------------------------------------
