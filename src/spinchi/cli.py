@@ -18,9 +18,18 @@ from . import euler as euler_mod
 from .exactq import ResidualPiPowerError
 
 
+def _l2_record(prof: euler_mod.L2Profile) -> dict:
+    return {
+        "betti_degree": prof.betti_degree,
+        "betti_value": exactq.decimal_str(prof.betti_value),
+        "ns_range": list(prof.ns_range) if prof.ns_range else None,
+        "ns_value": prof.ns_value if prof.ns_value is not None else "inf+",
+        "torsion_sign": prof.torsion_sign,
+    }
+
+
 def _chi_record(m: int, n: int) -> dict:
     res = euler_mod.chi_closed(m, n)
-    prof = euler_mod.l2_profile(m, n)
     desc = res.descriptor
     return {
         "m": m,
@@ -29,16 +38,10 @@ def _chi_record(m: int, n: int) -> dict:
         "dimX": desc.dim_x,
         "delta": desc.delta,
         "chi": res.factored,
-        "chi_rational": str(res.value),
+        "chi_rational": exactq.decimal_str(res.value),
         "sign": res.sign,
         "case": res.case,
-        "l2": {
-            "betti_degree": prof.betti_degree,
-            "betti_value": str(prof.betti_value),
-            "ns_range": list(prof.ns_range) if prof.ns_range else None,
-            "ns_value": prof.ns_value if prof.ns_value is not None else "inf+",
-            "torsion_sign": prof.torsion_sign,
-        },
+        "l2": _l2_record(euler_mod.l2_profile(m, n)),
     }
 
 
@@ -61,9 +64,9 @@ def _cmd_sign(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    record = _chi_record(args.m, args.n)
-    _emit({"m": args.m, "n": args.n, "dimX": record["dimX"],
-           "delta": record["delta"], "l2": record["l2"]}, args.pretty)
+    prof = euler_mod.l2_profile(args.m, args.n)
+    _emit({"m": args.m, "n": args.n, "dimX": prof.descriptor.dim_x,
+           "delta": prof.delta, "l2": _l2_record(prof)}, args.pretty)
     return 0
 
 

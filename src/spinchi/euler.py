@@ -19,9 +19,10 @@ With the zigzag numbers A_i (``exactq.zigzag``), (2^(2j)-1)|zeta(1-2j)|
     chi = (-1)^(mn/2) * C(l, k) * 2^a * A_t * prod_{j=1}^{l-1} A_(2j-1)
 
 with (a, t) = (4l^2 - 4l, l - 1) for even d and (4l^2 - l, d - 2) for
-odd d.  That piece list depends on d alone and gives both the cached
-value and the cached factorization (each A_i factored once), so the
-full value is never factored.
+odd d.  ``EulerResult`` is the ledger chi = lead * D(d): lead = sign *
+C(l, k) is all of chi's dependence on m at fixed d, and D(d) = 2^a * A_t
+* prod A_(2j-1) is cached per d with its value and its factorization
+(each A_i factored once), so the full value is never factored.
 
 ``adelic_assembly_exact`` recomputes chi from first principles as a
 product of local volumes: the normalized compact-dual volume, the
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .exactq import (
@@ -57,46 +58,65 @@ CASE_2MOD4 = "2mod4"
 CASE_ODD = "odd"
 
 
-def _case_tag(m: int, n: int) -> str:
-    if m % 2 and n % 2:
-        return CASE_ZERO
-    d = m + n
-    if d % 2:
-        return CASE_ODD
-    return CASE_0MOD4 if d % 4 == 0 else CASE_2MOD4
+@lru_cache(maxsize=None)
+def _zigzag_factored(i: int) -> FactoredInteger:
+    return FactoredInteger.of(zigzag(i))
+
+
+class _DimensionPart:
+    """D(d) = 2^a * prod A_i over i in (t, 1, 3, ..., 2l-3), one per d.
+
+    Value and factorization are built on first use (A_i factored once each).
+    """
+
+    def __init__(self, d: int) -> None:
+        l = d // 2
+        if d % 2:
+            self.case, self.a, t = CASE_ODD, 4 * l * l - l, d - 2
+        else:
+            self.case = CASE_0MOD4 if d % 4 == 0 else CASE_2MOD4
+            self.a, t = 4 * l * l - 4 * l, l - 1
+        self.indices = (t, *range(1, 2 * l - 1, 2))
+
+    @cached_property
+    def value(self) -> int:
+        return 2 ** self.a * math.prod(zigzag(i) for i in self.indices)
+
+    @cached_property
+    def factored(self) -> FactoredInteger:
+        return math.prod((_zigzag_factored(i) for i in self.indices),
+                         start=FactoredInteger(1, ((2, self.a),)))
+
+
+_dimension_part = lru_cache(maxsize=None)(_DimensionPart)
 
 
 @dataclass(frozen=True)
 class EulerResult:
+    """The ledger chi = lead * D(d): only lead = sign * C(l, k) depends on m."""
+
     descriptor: SpinGroupDescriptor
-    value: int
-    case: str
+    sign: int
+    lead: int
 
     @property
-    def sign(self) -> int:
-        if self.value == 0:
-            return 0
-        return 1 if self.value > 0 else -1
+    def dimension(self) -> _DimensionPart:
+        return _dimension_part(self.descriptor.d)
+
+    @property
+    def value(self) -> int:
+        return self.lead * self.dimension.value if self.lead else 0
+
+    @property
+    def case(self) -> str:
+        return self.dimension.case if self.lead else CASE_ZERO
 
     @property
     def factored(self) -> str:
-        """The value as a signed prime power product, e.g. "2^89 * 5^2 * 17".
-
-        Assembled from the factored pieces ``chi_closed`` computes the
-        value from, which the descriptor determines.
-        """
-        if self.value == 0:
+        """The value as a signed prime power product, e.g. "2^89 * 5^2 * 17"."""
+        if not self.lead:
             return "0"
-        desc = self.descriptor
-        return str(FactoredInteger.of(self.sign * math.comb(desc.l, desc.k))
-                   * _dimension_factored(desc.d))
-
-
-def _dimension_pieces(d: int) -> tuple[int, tuple[int, ...]]:
-    """(a, (t, 1, 3, ..., 2l-3)): _dimension_value(d) = 2^a * prod A_i."""
-    l = d // 2
-    a, t = (4 * l * l - l, d - 2) if d % 2 else (4 * l * l - 4 * l, l - 1)
-    return a, (t, *range(1, 2 * l - 1, 2))
+        return str(FactoredInteger.of(self.lead) * self.dimension.factored)
 
 
 def r_factor(d: int) -> int:
@@ -104,28 +124,8 @@ def r_factor(d: int) -> int:
     if d < 3:
         raise ValueError("need d >= 3")
     l = d // 2
-    a, (t, *_) = _dimension_pieces(d)
-    return 2 ** (a + l * (l - 1)) * zigzag(t)
-
-
-@lru_cache(maxsize=None)
-def _dimension_value(d: int) -> int:
-    """R(d) * prod_{j<l} (2^(2j)-1)|zeta(1-2j)|; chi = +-C(l, k) times this."""
-    a, indices = _dimension_pieces(d)
-    return 2 ** a * math.prod(zigzag(i) for i in indices)
-
-
-@lru_cache(maxsize=None)
-def _zigzag_factored(i: int) -> FactoredInteger:
-    return FactoredInteger.of(zigzag(i))
-
-
-@lru_cache(maxsize=None)
-def _dimension_factored(d: int) -> FactoredInteger:
-    """_dimension_value(d), assembled from the factored pieces."""
-    a, indices = _dimension_pieces(d)
-    return math.prod((_zigzag_factored(i) for i in indices),
-                     start=FactoredInteger(1, ((2, a),)))
+    part = _dimension_part(d)
+    return 2 ** (part.a + l * (l - 1)) * zigzag(part.indices[0])
 
 
 def chi_sign(m: int, n: int) -> int:
@@ -140,8 +140,7 @@ def chi_closed(m: int, n: int) -> EulerResult:
     """chi of the level-4 congruence subgroup of Spin(m, n), exactly."""
     desc = SpinGroupDescriptor(m, n)
     sign = chi_sign(m, n)
-    value = sign * math.comb(desc.l, desc.k) * _dimension_value(desc.d) if sign else 0
-    return EulerResult(desc, value, _case_tag(m, n))
+    return EulerResult(desc, sign, sign * math.comb(desc.l, desc.k))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ powers of pi, and factored integers.  This module provides those scalars:
 * ``FactoredInteger``: the one factorization type, a signed prime
   factorization of a nonzero integer.  Products add exponents, so a
   product of factored pieces never has to be factored again.
+* ``decimal_str``: the decimal digits of an integer of any size.
 
 All functions are pure; memoization uses ``functools.lru_cache`` (safe
 under CPython threading).
@@ -23,6 +24,7 @@ under CPython threading).
 from __future__ import annotations
 
 import bisect
+import decimal
 import itertools
 import math
 import random
@@ -461,3 +463,36 @@ def format_factored(x: Scalar) -> str:
         return "0"
     num = FactoredInteger.of(x.numerator)
     return f"{num} / {FactoredInteger.of(x.denominator)}" if x.denominator > 1 else str(num)
+
+
+def decimal_str(n: int) -> str:
+    """str(n), also past the interpreter's int-to-str digit limit.
+
+    Below the limit this is plain ``str``.  Above it, n is split by
+    powers of 2 and rebuilt exactly as a ``Decimal`` (hi * 2^w + lo,
+    each 2^w built once), whose str has no limit and the same digits.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    powers: dict[int, decimal.Decimal] = {}
+
+    def two_to(w: int) -> decimal.Decimal:
+        if w not in powers:
+            powers[w] = (decimal.Decimal(2) ** w if w <= 128
+                         else two_to(w >> 1) * two_to(w - (w >> 1)))
+        return powers[w]
+
+    def rebuild(x: int, w: int) -> decimal.Decimal:  # 0 <= x < 2^w
+        if w <= 128:
+            return decimal.Decimal(x)
+        half = w >> 1
+        hi, lo = x >> half, x & ((1 << half) - 1)
+        return rebuild(hi, w - half) * two_to(half) + rebuild(lo, half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(rebuild(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .euler import EulerResult, chi_closed, chi_sign
+from .euler import EulerResult, chi_closed
 from .ggroups import SpinGroupDescriptor
 from .qforms import genus_first_failure, witt_index_rational
 
@@ -115,6 +115,7 @@ def sweep_theorem_frank_dim(d_max: int) -> SweepReport:
     they are data, not assertions.
     """
     equivalent = list(_equivalent_pairs(d_max))
+    chi = {s: chi_closed(*s) for s in {s for pair in equivalent for s in pair}}
     violations: list[str] = []
     notes: list[str] = []
     # a class's least member pairs with every other member before any of
@@ -127,15 +128,14 @@ def sweep_theorem_frank_dim(d_max: int) -> SweepReport:
             members.add(b)
         if (a[0] * a[1] - b[0] * b[1]) % 4:
             violations.append(f"{a}/{b}: dim X not equal mod 4")
-        da, db = SpinGroupDescriptor(*a), SpinGroupDescriptor(*b)
-        if da.delta != db.delta:
+        ca, cb = chi[a], chi[b]
+        if ca.descriptor.delta != cb.descriptor.delta:
             violations.append(f"{a}/{b}: delta mismatch")
-        sa, sb = chi_sign(*a), chi_sign(*b)
-        if sa != sb:
+        if ca.sign != cb.sign:
             violations.append(f"{a}/{b}: sign mismatch")
-        if sa and sb:
-            # equal d: chi(a) / chi(b) = sign_a C(l, k_a) / (sign_b C(l, k_b))
-            ratio = Fraction(sa * math.comb(da.l, da.k), sb * math.comb(db.l, db.k))
+        if ca.lead and cb.lead:
+            # equal d, so D(d) cancels: chi(a) / chi(b) = lead(a) / lead(b)
+            ratio = Fraction(ca.lead, cb.lead)
             two_power = abs(ratio.numerator * ratio.denominator).bit_count() == 1
             notes.append(f"{a}/{b}: chi ratio {ratio}"
                          + ("" if two_power else " (not a power of 2)"))

@@ -318,7 +318,8 @@ def is_isotropic_rational(form: DiagonalForm) -> bool:
 
     Only p | 2 * prod(entries) need checking; elsewhere the invariants
     are trivial and dimension >= 3 forms are isotropic, while the
-    dimension <= 2 cases are decided globally anyway.
+    dimension <= 2 cases are decided globally anyway.  A pair of entries
+    a, -a s^2 decides dimensions 3 and 4 before any entry is factored.
     """
     dim = form.dim
     if dim <= 1:
@@ -330,6 +331,10 @@ def is_isotropic_rational(form: DiagonalForm) -> bool:
         return _is_rational_square(-form.disc())
     if dim >= 5:
         return True
+    entries = form.entries
+    if any(_is_rational_square(-a * b)
+           for i, a in enumerate(entries) for b in entries[i + 1:]):
+        return True  # <a, -a s^2> is a hyperbolic plane; no factoring needed
     for p in _relevant_primes(form):
         hasse, disc = _hasse_disc(form.entries, p)
         if not _local_isotropic(dim, disc, hasse, p):

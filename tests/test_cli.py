@@ -8,10 +8,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
 
+from spinchi import euler, profinite
 from spinchi.cli import main
 from spinchi.euler import chi_closed
+from spinchi.exactq import FactoredInteger
 
 
 def run(capsys, *argv):
@@ -201,6 +204,41 @@ def test_witt_command_is_linear_and_never_factors(capsys):
         elapsed = time.perf_counter() - start
         assert code == 0 and json.loads(out) == want, form
         assert elapsed < 2.0, (form, elapsed)
+
+
+def test_chi_views_sign_and_profile_never_factor(capsys, monkeypatch):
+    # Only chi's factored string factors: value, sign, case, the L2 profile,
+    # both sweeps and the sign and profile commands read the ledger unfactored.
+    def refuse(n):
+        raise AssertionError(f"FactoredInteger.of({n}) called")
+
+    monkeypatch.setattr(FactoredInteger, "of", refuse)
+    for d in range(3, 101):
+        for m in range(1, d):
+            res = chi_closed(m, d - m)
+            assert res.value == res.lead * res.dimension.value
+            assert (res.sign == 0) == (res.case == "zero")
+            assert euler.l2_profile(m, d - m).betti_value == abs(res.value)
+        for m in (1, 2, d // 2, d - 2):
+            for command in ("sign", "profile"):
+                assert run(capsys, command, str(m), str(d - m))[0] == 0
+    profinite.sweep_theorem_frank_dim(20)
+    profinite.sweep_euler_not_profinite(20)
+
+
+def test_profile_past_the_decimal_digit_limit(capsys):
+    # chi(86, 2) has more than 4300 decimal digits.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "profile", "86", "2")
+    assert code == 0 and time.perf_counter() - start < 5.0
+    betti = json.loads(out)["l2"]["betti_value"]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = str(abs(chi_closed(86, 2).value))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300 and betti == want
 
 
 def test_srank_command(capsys):

@@ -15,7 +15,6 @@ import pytest
 
 from spinchi import euler
 from spinchi.euler import (
-    _dimension_value,
     _log_prime_sum,
     CASE_0MOD4,
     CASE_2MOD4,
@@ -140,7 +139,7 @@ def test_zigzag_pieces_match_three_case_formula():
     for d in range(3, 61):
         want = _r_factor_three_cases(d)
         assert r_factor(d) == want, d
-        value = _dimension_value(d)
+        value = chi_closed(d - 2, 2).dimension.value  # the ledger's per-d part
         assert isinstance(value, int), d
         assert value == want * _odd_product(d // 2), d
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -25,6 +26,7 @@ from spinchi.exactq import (
     ResidualPiPowerError,
     bernoulli,
     bernoulli_poly,
+    decimal_str,
     euler_number,
     format_factored,
     gamma_half,
@@ -450,3 +452,20 @@ def test_format_factored_rationals():
     assert format_factored(Fraction(-8)) == "-2^3"
     assert format_factored(-1) == "-1"
     assert format_factored(Fraction(0)) == "0"
+
+
+def test_decimal_str_across_the_digit_limit():
+    # 10^4300 - 1 has exactly 4300 digits (plain str); 10^4300 and the
+    # 119k-digit value need the Decimal rebuild under the default limit.
+    big = 3 ** 250000 + 12345
+    cases = [10 ** 4300 - 1, 10 ** 4300, big, 0, 1, 2 ** 128, 2 ** 129 - 1]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        got = {n: (decimal_str(n), decimal_str(-n)) for n in cases}
+        sys.set_int_max_str_digits(0)
+        for n in cases:
+            assert got[n] == (str(n), str(-n)), n.bit_length()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(got[big][0]) > 100_000

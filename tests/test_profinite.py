@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinchi.euler import chi_closed
 from spinchi.profinite import (
     ChiMismatchPair,
     CommensurabilityReport,
@@ -96,6 +97,17 @@ def test_sweep_classes_agree_with_pairwise_criterion():
         for a in cls:
             for b in cls:
                 assert genus_equal_finite_places(*a, *b), (a, b)
+
+
+def test_sweep_ratio_notes_are_the_chi_ratios():
+    # The sweep reads each ratio off the two leads; compare the full values.
+    report = sweep_theorem_frank_dim(14)
+    assert report.chi_ratio_notes
+    for note in report.chi_ratio_notes:
+        pair, ratio = note.split(": chi ratio ")
+        a, b = (tuple(map(int, s.strip("()").split(","))) for s in pair.split("/"))
+        want = Fraction(chi_closed(*a).value, chi_closed(*b).value)
+        assert Fraction(ratio.split()[0]) == want, note
 
 
 def test_sweep_ratio_notes_include_a_non_power_of_2():

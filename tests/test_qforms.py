@@ -473,6 +473,19 @@ def test_local_functions_never_factor(monkeypatch):
         assert witt_index(forms[0], v) == 1
 
 
+def test_hyperbolic_pair_decides_isotropy_without_factoring(monkeypatch):
+    # <N, 1, -1> holds the plane <1, -1>, so A_69's cofactor N is never
+    # factored; nor are the entries of <a, -a s^2> pairs in dimension 4.
+    def refuse(n):
+        raise AssertionError(f"FactoredInteger.of({n}) called")
+
+    monkeypatch.setattr(FactoredInteger, "of", refuse)
+    cofactor = A69_COFACTOR_FORM.split(",")[0]
+    for text in (A69_COFACTOR_FORM, f"{cofactor},-4/9,3,1/9",
+                 f"{cofactor},3,{cofactor},-{cofactor}"):
+        assert is_isotropic_rational(DiagonalForm.parse(text)), text
+
+
 # ---------------------------------------------------------------------------
 # reductions mod p and the genus criterion
 # ---------------------------------------------------------------------------
