@@ -235,7 +235,7 @@ def _suite_oracles() -> None:
     for (m, n), p in (((2, 1), 3), ((2, 1), 5), ((2, 2), 3), ((3, 1), 3)):
         desc = ggroups.SpinGroupDescriptor(m, n)
         formula = ggroups.spin_order_fp(desc, p)
-        counted = ggroups.so_order_bruteforce(qforms.DiagonalForm.pm(m, n), p)
+        counted = oracles.so_order_bruteforce(qforms.DiagonalForm.pm(m, n), p)
         assert formula == counted, f"order mismatch at ({m},{n}), p={p}"
 
 

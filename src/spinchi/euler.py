@@ -148,22 +148,21 @@ def chi_closed(m: int, n: int) -> EulerResult:
 
 
 def _odd_euler_product_exact(m: int, n: int) -> PiExact:
-    """prod over odd p of |G(F_p)| p^(-dim G), via zeta/L special values.
+    """prod over odd p of p^(dim G) / |G(F_p)|, via zeta/L special values.
 
-    d odd:        prod_{j=1}^{l} zeta(2j) (1 - 2^(-2j))
-    d = 0 mod 4:  zeta(l) (1 - 2^(-l)) * prod_{j=1}^{l-1} zeta(2j) (1 - 2^(-2j))
-    d = 2 mod 4:  L(psi, l)            * prod_{j=1}^{l-1} zeta(2j) (1 - 2^(-2j))
+    m, n not both odd.  Each degree e of ``ggroups.order_degrees`` gives
+    prod_p (1 - t_e(p) p^(-e))^(-1): L(psi, e) for the typed degree when
+    its type is (-1/p), and zeta(e) (1 - 2^(-e)) otherwise (e even then).
     """
     d = m + n
-    l = d // 2
+    twisted = d % 2 == 0 and fp_type_twisted(m, n)
     out = PiExact(Fraction(1), 0)
-    for j in range(1, l):
-        out = out * zeta_even_exact(j) * (1 - Fraction(1, 2 ** (2 * j)))
-    if d % 2:
-        return out * zeta_even_exact(l) * (1 - Fraction(1, 2 ** (2 * l)))
-    if d % 4 == 0:
-        return out * zeta_even_exact(l // 2) * (1 - Fraction(1, 2 ** l))
-    return out * l_psi_exact_odd(l)
+    for e, typed in order_degrees(d)[1]:
+        if typed and twisted:
+            out = out * l_psi_exact_odd(e)
+        else:
+            out = out * zeta_even_exact(e // 2) * (1 - Fraction(1, 2 ** e))
+    return out
 
 
 def adelic_assembly_exact(m: int, n: int) -> Fraction:

@@ -216,9 +216,9 @@ class PiExact:
     def __abs__(self) -> "PiExact":
         return PiExact(abs(self.coeff), self.half_pi_power)
 
-    def to_float(self, pi: float = math.pi) -> float:
-        """Numeric value; pass a high-precision pi for sharper answers."""
-        return (pi ** (self.half_pi_power / 2)) * self.coeff.numerator / self.coeff.denominator
+    def to_float(self) -> float:
+        """Numeric value, in double precision."""
+        return (math.pi ** (self.half_pi_power / 2)) * self.coeff.numerator / self.coeff.denominator
 
     def __str__(self) -> str:
         if self.half_pi_power == 0:

@@ -8,13 +8,10 @@ cokernel of equal size, so |Spin(F_p)| = |SO(F_p)|):
   d = 2l:      p^(l(l-1)) * (p^l - t) * prod_{j=1}^{l-1} (p^(2j) - 1)
 
 with t = +1 for plus type and t = -1 for minus type (``qforms.fp_type``).
-``order_degrees`` holds this degree list, which the float Euler product
-in ``euler`` reads too.
+``order_degrees`` holds this degree list, which both Euler products in
+``euler`` read too.
 
-``so_order_bruteforce`` counts solutions of M^T B M = B, det M = 1 by
-column-by-column enumeration with Gram-condition pruning.  It exists as
-an independent oracle for the formulas, so it stays deliberately naive;
-a budget guard refuses instances with p^(d^2) > budget.
+``oracles.so_order_bruteforce`` checks these formulas by enumeration.
 """
 from __future__ import annotations
 
@@ -22,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .exactq import PiExact, gamma_half, is_prime
 from .qforms import DiagonalForm, fp_type_twisted
@@ -117,72 +113,6 @@ def spin_order_fp(desc: SpinGroupDescriptor, p: int) -> int:
     for e, typed in degrees:  # t = fp_type(m, n, p) for the typed degree
         order *= p ** e - (-1 if typed and twisted and p % 4 == 3 else 1)
     return order
-
-
-def so_order_bruteforce(form: DiagonalForm, p: int,
-                        budget: int = 10 ** 8) -> int:
-    """|SO(form)(F_p)| by direct enumeration.  Oracle, not for large inputs.
-
-    Requires every entry to be a p-adic unit so the reduction mod p is
-    nondegenerate.  Refuses when p^(d^2) exceeds the budget.
-    """
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    d = form.dim
-    if p ** (d * d) > budget:
-        raise ValueError(f"p^(d^2) = {p ** (d * d)} exceeds budget {budget}")
-    q = []
-    for e in form.entries:
-        if e.numerator % p == 0 or e.denominator % p == 0:
-            raise ValueError(f"entry {e} is not a unit at {p}")
-        q.append(e.numerator * pow(e.denominator, -1, p) % p)
-
-    vectors = list(product(range(p), repeat=d))
-    by_norm: dict[int, list[tuple[int, ...]]] = {}
-    for vec in vectors:
-        norm = sum(qi * x * x for qi, x in zip(q, vec)) % p
-        by_norm.setdefault(norm, []).append(vec)
-
-    def det_mod_p(cols: list[tuple[int, ...]]) -> int:
-        mat = [list(row) for row in zip(*cols)]
-        det = 1
-        for i in range(d):
-            pivot = next((r for r in range(i, d) if mat[r][i] % p), None)
-            if pivot is None:
-                return 0
-            if pivot != i:
-                mat[i], mat[pivot] = mat[pivot], mat[i]
-                det = -det
-            det = det * mat[i][i] % p
-            inv = pow(mat[i][i], -1, p)
-            for r in range(i + 1, d):
-                factor = mat[r][i] * inv % p
-                if factor:
-                    mat[r] = [(x - factor * y) % p
-                              for x, y in zip(mat[r], mat[i])]
-        return det % p
-
-    count = 0
-    chosen: list[tuple[int, ...]] = []
-    weighted: list[tuple[int, ...]] = []   # q_i * (chosen col)_i, for dot products
-
-    def extend(col: int) -> None:
-        nonlocal count
-        if col == d:
-            if det_mod_p(chosen) == 1:
-                count += 1
-            return
-        for vec in by_norm.get(q[col], ()):
-            if all(sum(wi * x for wi, x in zip(w, vec)) % p == 0
-                   for w in weighted):
-                chosen.append(vec)
-                weighted.append(tuple(qi * x % p for qi, x in zip(q, vec)))
-                extend(col + 1)
-                chosen.pop()
-                weighted.pop()
-
-    extend(0)
-    return count
 
 
 @lru_cache(maxsize=None)

@@ -9,17 +9,20 @@ referee below (``hasse_pairwise``, ``witt_index_peel``,
 against the term-by-term sums of ``product_coefficient`` (signs from
 ``blade_mul``, not from ``sign_mask`` or the packed kernel), and
 ``is_spin_element`` against ``is_spin_element_conjugates``, which forms
-every conjugate g e_i gbar.
+every conjugate g e_i gbar.  Criterion 6, ``spinchi verify oracles`` and
+the tests count |SO(F_p)| with ``so_order_bruteforce``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .clifford import Blade, CliffordElement, blade_mul
-from .exactq import FactoredInteger
+from .exactq import FactoredInteger, is_prime
+from .qforms import DiagonalForm
 
 
 @lru_cache(maxsize=None)
@@ -191,6 +194,81 @@ def witt_index_rational_peel(entries: Sequence) -> int:
             hasse[p] *= hilbert_closed(-1, disc, p)
         index += 1
     return index
+
+
+# ---------------------------------------------------------------------------
+# Finite orthogonal groups, by enumeration
+
+SO_ORDER_BUDGET = 10 ** 8
+"""Largest p^(d^2) that ``so_order_bruteforce`` accepts."""
+
+
+def so_order_bruteforce(form: DiagonalForm, p: int) -> int:
+    """|SO(form)(F_p)| by direct enumeration.  Oracle, not for large inputs.
+
+    Counts solutions of M^T B M = B, det M = 1 column by column, pruned
+    by the Gram conditions; deliberately naive, independent of the order
+    formulas of ``ggroups.spin_order_fp`` that it checks.  Requires every
+    entry to be a p-adic unit so the reduction mod p is nondegenerate.
+    Refuses when p^(d^2) exceeds ``SO_ORDER_BUDGET``.
+    """
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    d = form.dim
+    if p ** (d * d) > SO_ORDER_BUDGET:
+        raise ValueError(f"p^(d^2) = {p ** (d * d)} exceeds budget {SO_ORDER_BUDGET}")
+    q = []
+    for e in form.entries:
+        if e.numerator % p == 0 or e.denominator % p == 0:
+            raise ValueError(f"entry {e} is not a unit at {p}")
+        q.append(e.numerator * pow(e.denominator, -1, p) % p)
+
+    vectors = list(itertools.product(range(p), repeat=d))
+    by_norm: dict[int, list[tuple[int, ...]]] = {}
+    for vec in vectors:
+        norm = sum(qi * x * x for qi, x in zip(q, vec)) % p
+        by_norm.setdefault(norm, []).append(vec)
+
+    def det_mod_p(cols: list[tuple[int, ...]]) -> int:
+        mat = [list(row) for row in zip(*cols)]
+        det = 1
+        for i in range(d):
+            pivot = next((r for r in range(i, d) if mat[r][i] % p), None)
+            if pivot is None:
+                return 0
+            if pivot != i:
+                mat[i], mat[pivot] = mat[pivot], mat[i]
+                det = -det
+            det = det * mat[i][i] % p
+            inv = pow(mat[i][i], -1, p)
+            for r in range(i + 1, d):
+                factor = mat[r][i] * inv % p
+                if factor:
+                    mat[r] = [(x - factor * y) % p
+                              for x, y in zip(mat[r], mat[i])]
+        return det % p
+
+    count = 0
+    chosen: list[tuple[int, ...]] = []
+    weighted: list[tuple[int, ...]] = []   # q_i * (chosen col)_i, for dot products
+
+    def extend(col: int) -> None:
+        nonlocal count
+        if col == d:
+            if det_mod_p(chosen) == 1:
+                count += 1
+            return
+        for vec in by_norm.get(q[col], ()):
+            if all(sum(wi * x for wi, x in zip(w, vec)) % p == 0
+                   for w in weighted):
+                chosen.append(vec)
+                weighted.append(tuple(qi * x % p for qi, x in zip(q, vec)))
+                extend(col + 1)
+                chosen.pop()
+                weighted.pop()
+
+    extend(0)
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,7 @@ def sweep_euler_not_profinite(d_max: int) -> list[ChiMismatchPair]:
     Each entry shows chi is not determined by the profinite completion.
     Empty lists are a legitimate outcome for small d_max.
     """
-    out: list[ChiMismatchPair] = []
-    for a, b in _equivalent_pairs(d_max):
-        ca, cb = chi_closed(*a).value, chi_closed(*b).value
-        if ca and cb and ca != cb:
-            out.append(ChiMismatchPair(a, b, ca, cb))
-    return out
+    equivalent = list(_equivalent_pairs(d_max))
+    chi = {s: chi_closed(*s).value for s in {s for pair in equivalent for s in pair}}
+    return [ChiMismatchPair(a, b, chi[a], chi[b]) for a, b in equivalent
+            if chi[a] and chi[b] and chi[a] != chi[b]]

@@ -26,10 +26,12 @@ The Hasse invariant takes one pass by suffix products,
 and the last suffix is the discriminant's key.  Splitting off a
 hyperbolic plane multiplies the discriminant by -1 and the Hasse
 invariant by (-1, new discriminant), so the Witt index is a peel on
-keys too.  No local function factors anything: only the rational
-functions ``is_isotropic_rational`` and ``witt_index_rational`` do, to
-find the places dividing 2 * prod(entries).  Everywhere else the form
-is unimodular of dimension >= 3 and automatically isotropic.
+keys too.  No local function factors anything.
+
+By Hasse-Minkowski the Witt index over Q is the least local index.
+``witt_index_rational`` factors the entries, to find the primes dividing
+them, only for forms that its closed bounds and its pair rule leave
+open; ``is_isotropic_rational`` never factors from dimension 5 on.
 
 The +-1 forms <1^m, (-1)^n> are odd unimodular Z-lattices, and their
 genus at the finite places is fixed by the rank d = m + n and n mod 4
@@ -37,6 +39,7 @@ genus at the finite places is fixed by the rank d = m + n and n mod 4
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -202,11 +205,12 @@ class DiagonalForm:
         return len(self.entries)
 
     def signature(self) -> tuple[int, int]:
-        pos = sum(1 for e in self.entries if e > 0)
+        pos = sum(e.numerator > 0 for e in self.entries)
         return pos, self.dim - pos
 
     def disc(self) -> Fraction:
-        return math.prod(self.entries, start=Fraction(1))
+        return Fraction(math.prod(e.numerator for e in self.entries),
+                        math.prod(e.denominator for e in self.entries))
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.entries)
@@ -301,68 +305,52 @@ def anisotropic_dim(form: DiagonalForm, v: "Place | int | None") -> int:
     return form.dim - 2 * witt_index(form, v)
 
 
-def _relevant_primes(form: DiagonalForm) -> list[int]:
+def _relevant_primes(form: DiagonalForm) -> set[int]:
     primes = {2}
-    for e in form.entries:
-        primes.update(p for p, _ in FactoredInteger.of(e.numerator * e.denominator).factors)
-    return sorted(primes)
+    for n in {abs(e.numerator * e.denominator) for e in form.entries}:
+        primes.update(p for p, _ in FactoredInteger.of(n).factors)
+    return primes
 
 
-def _is_rational_square(x: Fraction) -> bool:
-    return (x > 0 and math.isqrt(x.numerator) ** 2 == x.numerator
-            and math.isqrt(x.denominator) ** 2 == x.denominator)
-
-
-def is_isotropic_rational(form: DiagonalForm) -> bool:
-    """Hasse-Minkowski: isotropic over Q iff over R and every Q_p.
-
-    Only p | 2 * prod(entries) need checking; elsewhere the invariants
-    are trivial and dimension >= 3 forms are isotropic, while the
-    dimension <= 2 cases are decided globally anyway.  A pair of entries
-    a, -a s^2 decides dimensions 3 and 4 before any entry is factored.
-    """
-    dim = form.dim
-    if dim <= 1:
-        return False
-    pos, neg = form.signature()
-    if min(pos, neg) == 0:
-        return False
-    if dim == 2:
-        return _is_rational_square(-form.disc())
-    if dim >= 5:
-        return True
-    entries = form.entries
-    if any(_is_rational_square(-a * b)
-           for i, a in enumerate(entries) for b in entries[i + 1:]):
-        return True  # <a, -a s^2> is a hyperbolic plane; no factoring needed
-    for p in _relevant_primes(form):
-        hasse, disc = _hasse_disc(form.entries, p)
-        if not _local_isotropic(dim, disc, hasse, p):
-            return False
-    return True
+def _is_rational_square(x: Scalar) -> bool:
+    n = x.numerator * x.denominator  # coprime, so x is a square iff n is
+    return n > 0 and math.isqrt(n) ** 2 == n
 
 
 def witt_index_rational(form: DiagonalForm) -> int:
-    """Witt index over Q, by peeling hyperbolic planes at invariant level."""
-    dim = form.dim
-    pos, neg = form.signature()
-    disc = form.disc()
-    local = {p: _hasse_disc(form.entries, p) for p in _relevant_primes(form)}
-    index = 0
-    while dim >= 2 and min(pos, neg) > 0:
-        if dim == 2:
-            if not _is_rational_square(-disc):
-                break
-        elif dim <= 4:
-            if not all(_local_isotropic(dim, dk, h, p) for p, (h, dk) in local.items()):
-                break
-        dim -= 2
-        pos -= 1
-        neg -= 1
-        disc = -disc
-        local = {p: _peel(h, dk, p) for p, (h, dk) in local.items()}
-        index += 1
-    return index
+    """Witt index over Q: the least local Witt index (Hasse-Minkowski).
+
+    Off S = {oo, 2, p | an entry} the form is unimodular, of index dim // 2
+    less one in even dimension unless (-1)^(dim/2) disc is a rational
+    square; with the real index that bounds the answer.  Q_p-forms of
+    dimension >= 5 are isotropic, so no local index is below (dim - 3) // 2:
+    a bound at that floor, or at dim <= 2, is the answer.  A pair a, -a s^2
+    in dimension 3 or 4 splits off a plane.  Only the rest factor, for S.
+    """
+    dim, entries = form.dim, form.entries
+    unsplit = dim % 2 == 0 and not _is_rational_square((-1) ** (dim // 2) * form.disc())
+    bound = min(witt_index(form, None), dim // 2 - unsplit)
+    floor = (dim - 3) // 2
+    if dim <= 2 or bound <= floor:
+        return bound
+    if dim <= 4:
+        for i, j in itertools.combinations(range(dim), 2):
+            if _is_rational_square(-entries[i] * entries[j]):
+                rest = tuple(e for k, e in enumerate(entries) if k not in (i, j))
+                return 1 + witt_index_rational(DiagonalForm(rest))
+    for p in _relevant_primes(form):
+        bound = min(bound, witt_index(form, p))
+        if bound == floor:
+            break
+    return bound
+
+
+def is_isotropic_rational(form: DiagonalForm) -> bool:
+    """Isotropy over Q: Meyer's theorem (indefinite suffices) from
+    dimension 5 on, otherwise a positive ``witt_index_rational``."""
+    if form.dim >= 5:
+        return witt_index(form, None) > 0
+    return witt_index_rational(form) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,8 @@ from spinchi.euler import (
     s_arithmetic_sign,
 )
 from spinchi.exactq import gen_bernoulli_mod4, zeta_negative_odd
-from spinchi.ggroups import (
-    SpinGroupDescriptor,
-    so_order_bruteforce,
-    spin_order_fp,
-    weyl_ratio,
-)
-from spinchi.oracles import hilbert_bruteforce
+from spinchi.ggroups import SpinGroupDescriptor, spin_order_fp, weyl_ratio
+from spinchi.oracles import hilbert_bruteforce, so_order_bruteforce
 from spinchi.qforms import DiagonalForm, hilbert_symbol, witt_index
 from spinchi.euler import r_factor
 from spinchi.profinite import sweep_theorem_frank_dim

@@ -1,8 +1,9 @@
 """Tests for Weyl orders, finite spin group orders, and dual volumes.
 
-The order formulas are checked against ``so_order_bruteforce`` (a naive
-count of matrices fixing the form with determinant one) on every case
-small enough to enumerate, and against hand-checkable classical orders.
+The order formulas are checked against ``oracles.so_order_bruteforce``
+(a naive count of matrices fixing the form with determinant one) on
+every case small enough to enumerate, and against hand-checkable
+classical orders.
 """
 from __future__ import annotations
 
@@ -15,12 +16,12 @@ from spinchi import exactq, ggroups, qforms
 from spinchi.exactq import PiExact, gamma_half
 from spinchi.ggroups import (
     SpinGroupDescriptor,
-    so_order_bruteforce,
     spin_order_fp,
     vol_compact_dual,
     weyl_order,
     weyl_ratio,
 )
+from spinchi.oracles import so_order_bruteforce
 from spinchi.qforms import DiagonalForm
 
 

@@ -372,6 +372,25 @@ def test_rational_isotropy_known_cases():
     assert is_isotropic_rational(DiagonalForm.parse("1,1,1,1,-7"))
 
 
+def _has_small_zero(entries, box: range) -> bool:
+    """Whether sum e_i x_i^2 = 0 at a nonzero point of box^dim.
+
+    Meet in the middle: map each first-half sum to whether some nonzero
+    first half reaches it, then look up the negated second-half sums; a
+    zero second half must meet a nonzero first half, so 0 stays excluded.
+    """
+    half = len(entries) // 2
+    first: dict[int, bool] = {}
+    for xs in itertools.product(box, repeat=half):
+        s = sum(e * x * x for e, x in zip(entries, xs))
+        first[s] = first.get(s, False) or any(xs)
+    for ys in itertools.product(box, repeat=len(entries) - half):
+        s = -sum(e * y * y for e, y in zip(entries[half:], ys))
+        if s in first and (any(ys) or first[s]):
+            return True
+    return False
+
+
 def test_rational_isotropy_against_point_search():
     # whenever a small zero exists the decision procedure must say yes
     rng = random.Random(99)
@@ -380,14 +399,9 @@ def test_rational_isotropy_against_point_search():
         dim = rng.randrange(2, 5)
         f = DiagonalForm(tuple(Fraction(rng.choice(
             (1, -1, 2, -2, 3, -3, 5, -5, 7, -7))) for _ in range(dim)))
-        hit = None
-        for point in itertools.product(range(-6, 7), repeat=dim):
-            if any(point) and sum(e * x * x for e, x in zip(f.entries, point)) == 0:
-                hit = point
-                break
-        if hit is not None:
+        if _has_small_zero([int(e) for e in f.entries], range(-6, 7)):
             found += 1
-            assert is_isotropic_rational(f), (f, hit)
+            assert is_isotropic_rational(f), f
     assert found > 10  # the search should not have been vacuous
 
 
@@ -475,15 +489,23 @@ def test_local_functions_never_factor(monkeypatch):
 
 def test_hyperbolic_pair_decides_isotropy_without_factoring(monkeypatch):
     # <N, 1, -1> holds the plane <1, -1>, so A_69's cofactor N is never
-    # factored; nor are the entries of <a, -a s^2> pairs in dimension 4.
+    # factored; nor are the entries of <a, -a s^2> pairs in dimension 4,
+    # of the plane <N, -4N>, or of an indefinite form of dimension 5
+    # (Meyer).  The rest after a plane is definite, so each index is 1.
+    # Real index 1 in dimension 5 meets the local floor (5 - 3) // 2.
     def refuse(n):
         raise AssertionError(f"FactoredInteger.of({n}) called")
 
     monkeypatch.setattr(FactoredInteger, "of", refuse)
     cofactor = A69_COFACTOR_FORM.split(",")[0]
     for text in (A69_COFACTOR_FORM, f"{cofactor},-4/9,3,1/9",
-                 f"{cofactor},3,{cofactor},-{cofactor}"):
-        assert is_isotropic_rational(DiagonalForm.parse(text)), text
+                 f"{cofactor},3,{cofactor},-{cofactor}",
+                 f"{cofactor},-{4 * int(cofactor)}"):
+        form = DiagonalForm.parse(text)
+        assert is_isotropic_rational(form), text
+        assert witt_index_rational(form) == 1, text
+    assert is_isotropic_rational(DiagonalForm.parse(f"{cofactor},1,-3,5,-7"))
+    assert witt_index_rational(DiagonalForm.parse(f"{cofactor},1,-3,5,7")) == 1
 
 
 # ---------------------------------------------------------------------------
