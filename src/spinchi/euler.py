@@ -31,7 +31,8 @@ product expressed through zeta/L special values.  The pi powers must
 cancel exactly; a residual power raises ``ResidualPiPowerError`` and
 means a bug, not an input error.  ``adelic_assembly_float`` walks the
 actual Euler product over primes up to a bound in log space, one cached
-sum over the primes per degree of the finite group order.
+sum over the primes per degree of the finite group order (one odd-prime
+list per bound; each sum stops where no later term can change the float).
 """
 from __future__ import annotations
 
@@ -49,7 +50,8 @@ from .exactq import (
     zeta_even_exact,
     zigzag,
 )
-from .ggroups import SpinGroupDescriptor, order_degrees, vol_compact_dual, weyl_ratio
+from .ggroups import (SpinGroupDescriptor, check_signature, order_degrees,
+                      vol_compact_dual, weyl_ratio)
 from .qforms import Place, fp_type_twisted, witt_index, witt_index_rational
 
 CASE_ZERO = "zero"      # m, n both odd
@@ -130,7 +132,7 @@ def r_factor(d: int) -> int:
 
 def chi_sign(m: int, n: int) -> int:
     """0 if m, n both odd, else (-1)^(m n / 2)."""
-    SpinGroupDescriptor(m, n)
+    check_signature(m, n)
     if m % 2 and n % 2:
         return 0
     return -1 if (m * n // 2) % 2 else 1
@@ -147,15 +149,15 @@ def chi_closed(m: int, n: int) -> EulerResult:
 # Adelic assembly
 
 
-def _odd_euler_product_exact(m: int, n: int) -> PiExact:
+@lru_cache(maxsize=None)
+def _odd_euler_product_exact(d: int, twisted: bool) -> PiExact:
     """prod over odd p of p^(dim G) / |G(F_p)|, via zeta/L special values.
 
-    m, n not both odd.  Each degree e of ``ggroups.order_degrees`` gives
+    One per (d, twisted), twisted = ``fp_type_twisted(m, n)`` for even d
+    and False for odd d.  Each degree e of ``ggroups.order_degrees`` gives
     prod_p (1 - t_e(p) p^(-e))^(-1): L(psi, e) for the typed degree when
     its type is (-1/p), and zeta(e) (1 - 2^(-e)) otherwise (e even then).
     """
-    d = m + n
-    twisted = d % 2 == 0 and fp_type_twisted(m, n)
     out = PiExact(Fraction(1), 0)
     for e, typed in order_degrees(d)[1]:
         if typed and twisted:
@@ -175,11 +177,18 @@ def adelic_assembly_exact(m: int, n: int) -> Fraction:
     sign = chi_sign(m, n)
     if not sign:
         raise ValueError("chi = 0 for m, n both odd; no assembly defined")
-    total = (_odd_euler_product_exact(m, n)
+    d = desc.d
+    total = (_odd_euler_product_exact(d, d % 2 == 0 and fp_type_twisted(m, n))
              * weyl_ratio(desc)
-             * Fraction(2) ** (desc.d * (desc.d - 1))
-             / vol_compact_dual(desc.d))
+             * Fraction(2) ** (d * (d - 1))
+             / vol_compact_dual(d))
     return sign * total.as_rational()
+
+
+@lru_cache(maxsize=None)
+def _odd_primes(bound: int) -> tuple[int, ...]:
+    """The odd primes <= bound, sieved once per bound."""
+    return tuple(primes_up_to(bound)[1:])
 
 
 @lru_cache(maxsize=None)
@@ -189,11 +198,16 @@ def _degree_log_sum(e: int, twisted: bool, prime_bound: int) -> float:
     t(p) = (-1/p) if twisted, else 1.  This is e log p - log(p^e - t(p)),
     the share of one order factor p^e - t(p) (``ggroups.order_degrees``)
     in the log Euler product; every d and type with that factor shares it.
+    It stops once x = p^(-e) < ulp(total) / 8: every later |log1p(-t x)|
+    is below a quarter ulp, so the sum is the full walk's, bit for bit.
     """
     total = 0.0
-    for p in primes_up_to(prime_bound)[1:]:
+    for p in _odd_primes(prime_bound):
+        x = p ** -e
+        if x < math.ulp(total) / 8:
+            break
         t = -1 if twisted and p % 4 == 3 else 1
-        total -= math.log1p(-t * p ** -e)
+        total -= math.log1p(-t * x)
     return total
 
 

@@ -15,7 +15,9 @@ powers of pi, and factored integers.  This module provides those scalars:
   rather than approximated.
 * ``FactoredInteger``: the one factorization type, a signed prime
   factorization of a nonzero integer.  Products add exponents, so a
-  product of factored pieces never has to be factored again.
+  product of factored pieces never has to be factored again.  Trial
+  division by the primes <= 10^4 (sieved on first use), then Miller-Rabin
+  and Pollard-Brent for any larger cofactor; no large prime table.
 * ``decimal_str``: the decimal digits of an integer of any size.
 
 All functions are pure; memoization uses ``functools.lru_cache`` (safe
@@ -28,7 +30,6 @@ import decimal
 import itertools
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -286,7 +287,7 @@ def gamma_half(j: int) -> PiExact:
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _EXTRA_RANDOM_ROUNDS = 24  # above the deterministic bound
-_TRIAL_BOUND = 10 ** 6
+_TRIAL_BOUND = 10 ** 4
 
 
 def _primes(bound: int) -> Iterator[int]:
@@ -309,13 +310,9 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 @lru_cache(maxsize=1)
-def _trial_primes() -> array:
-    """The primes <= _TRIAL_BOUND, sieved on first use.
-
-    Kept as a C array (0.3 MB) rather than a list of int objects (3 MB):
-    every process that factors anything holds it for its lifetime.
-    """
-    return array("I", _primes(_TRIAL_BOUND))
+def _trial_primes() -> tuple[int, ...]:
+    """The primes <= _TRIAL_BOUND, sieved on first use."""
+    return tuple(_primes(_TRIAL_BOUND))
 
 
 def _mr_witness(a: int, n: int, d: int, r: int) -> bool:
@@ -421,7 +418,7 @@ class FactoredInteger:
                 if p * p > n:
                     break
         # n has no prime factor <= min(sqrt(n), _TRIAL_BOUND) left, so
-        # below _TRIAL_BOUND^2 it is 1 or a prime.
+        # below _TRIAL_BOUND^2 it is 1 or a prime; above, Pollard-Brent.
         if n >= _TRIAL_BOUND ** 2:
             _factor_into(n, found)
         elif n > 1:

@@ -24,6 +24,14 @@ from .exactq import PiExact, gamma_half, is_prime
 from .qforms import DiagonalForm, fp_type_twisted
 
 
+def check_signature(m: int, n: int) -> None:
+    """Raise ValueError unless m, n >= 1 and m + n >= 3."""
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
+    if m + n < 3:
+        raise ValueError("need m + n >= 3")
+
+
 @dataclass(frozen=True)
 class SpinGroupDescriptor:
     """Spin(m, n) with m, n >= 1 and d = m + n >= 3."""
@@ -32,10 +40,7 @@ class SpinGroupDescriptor:
     n: int
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError("need m, n >= 1")
-        if self.d < 3:
-            raise ValueError("need m + n >= 3")
+        check_signature(self.m, self.n)
 
     @property
     def d(self) -> int:

@@ -256,6 +256,54 @@ def test_log_prime_sum_matches_spin_order_fp():
             assert abs(got - want) <= 1e-9 * abs(want), (desc, got, want)
 
 
+def test_degree_log_sum_equals_the_full_walk():
+    # The early stop at ulp(total)/8 leaves every sum bit-identical.
+    for bound in (100, 2000, 10 ** 5):
+        primes = primes_up_to(bound)[1:]
+        for twisted in (False, True):
+            for e in range(1, 41):
+                total = 0.0
+                for p in primes:
+                    t = -1 if twisted and p % 4 == 3 else 1
+                    total -= math.log1p(-t * p ** -e)
+                assert euler._degree_log_sum(e, twisted, bound) == total, (e, twisted, bound)
+
+
+def test_odd_euler_product_cached_per_dimension_and_type():
+    for d in range(3, 27):
+        for m in range(1, d):
+            n = d - m
+            if m % 2 and n % 2:
+                continue
+            twisted = d % 2 == 0 and fp_type_twisted(m, n)
+            fresh = euler._odd_euler_product_exact.__wrapped__(d, twisted)
+            assert euler._odd_euler_product_exact(d, twisted) == fresh, (m, n)
+
+
+def test_chi_closed_builds_one_descriptor(monkeypatch):
+    built = []
+
+    def counting(m, n):
+        built.append((m, n))
+        return SpinGroupDescriptor(m, n)
+
+    monkeypatch.setattr(euler, "SpinGroupDescriptor", counting)
+    for m, n in ((8, 2), (3, 3), (4, 1)):
+        built.clear()
+        chi_closed(m, n)
+        assert built == [(m, n)]
+        built.clear()
+        euler.adelic_assembly_float(m, n, 1000)
+        assert built == [(m, n)]
+    built.clear()
+    adelic_assembly_exact(8, 2)
+    assert built == [(8, 2)]
+    for m, n in ((0, 3), (1, 1), (2, -1)):
+        for fn in (chi_closed, chi_sign, adelic_assembly_exact, adelic_assembly_float):
+            with pytest.raises(ValueError):
+                fn(m, n)
+
+
 # ---------------------------------------------------------------------------
 # L2 profile
 # ---------------------------------------------------------------------------

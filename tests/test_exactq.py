@@ -429,6 +429,50 @@ def test_factored_integer_at_the_trial_bound():
         assert fi.value == n
 
 
+def test_factored_integer_above_the_trial_bound():
+    # Primes in (_TRIAL_BOUND, 10^6] are found by Pollard-Brent, not by
+    # trial division; the factorization is the same.
+    def prime_near(n: int, step: int) -> int:
+        while not is_prime(n):
+            n += step
+        return n
+
+    p = prime_near(_TRIAL_BOUND + 1, 1)
+    q = prime_near(31_337, 1)
+    r = prime_near(10 ** 6, -1)
+    s = prime_near(10 ** 6 + 1, 1)
+    assert _TRIAL_BOUND < p < q < r < 10 ** 6 < s
+    cases = {
+        p * q: {p: 1, q: 1},
+        r ** 2: {r: 2},
+        p ** 3 * r: {p: 3, r: 1},
+        2 ** 5 * p * q * r: {2: 5, p: 1, q: 1, r: 1},
+        -r * s: {r: 1, s: 1},
+    }
+    rng = random.Random(13)
+    pool = [n for n in range(_TRIAL_BOUND + 1, 10 ** 6, 997) if is_prime(n)]
+    for _ in range(40):
+        chosen: dict[int, int] = {}
+        for _ in range(rng.randrange(1, 4)):
+            x = rng.choice(pool)
+            chosen[x] = chosen.get(x, 0) + rng.randrange(1, 3)
+        cases[math.prod(x ** e for x, e in chosen.items())] = chosen
+    for n, chosen in cases.items():
+        fi = FactoredInteger.of(n)
+        assert fi.factors == tuple(sorted(chosen.items())), n
+        assert fi.value == n
+
+
+def test_factored_zigzag_numbers():
+    # The integers chi is built from: A_i for odd i <= 67, even i <= 42.
+    for i in (*range(1, 68, 2), *range(2, 43, 2)):
+        fi = FactoredInteger.of(zigzag(i))
+        assert fi.value == zigzag(i), i
+        primes = [p for p, _ in fi.factors]
+        assert primes == sorted(set(primes)), i
+        assert all(is_prime(p) for p in primes), i
+
+
 def test_factored_integer_products():
     # products add exponents and multiply signs, with the primes ascending
     assert FactoredInteger.of(-1) * FactoredInteger.of(-1) == FactoredInteger.of(1)
