@@ -5,13 +5,14 @@ Places are the archimedean place and the primes.  For a diagonal form
 discriminant, the Hasse invariant prod_{i<j} (a_i, a_j)_v, the Witt
 index and the anisotropic dimension.
 
-Every local function works on square-class keys (``square_class_key``):
-a nonzero a = p^alpha u, with u a p-adic unit, has the key
-(alpha mod 2, u mod 8) at p = 2, (alpha mod 2, (u|p)) at odd p, and
-(sign of a,) at the real place.  The key of a product is read off the
-keys of the factors, and Hilbert symbols need nothing else; Serre's
-closed formulas (A Course in Arithmetic, III.1) are, for odd p and
-a = p^alpha u, b = p^beta w,
+Every local function works on square-class keys (``square_class_key``)
+of r = num * den, in the square class of a = num / den, one integer per
+entry that ``DiagonalForm`` computes once.  A nonzero r = p^alpha u,
+with u a p-adic unit, has the key (alpha mod 2, u mod 8) at p = 2,
+(alpha mod 2, (u|p)) at odd p, and (sign of r,) at the real place.
+The key of a product is read off the keys of the factors, and Hilbert
+symbols need nothing else; Serre's closed formulas (A Course in
+Arithmetic, III.1) are, for odd p and a = p^alpha u, b = p^beta w,
 
     (a, b)_p = (-1)^(alpha beta (p-1)/2) (u|p)^beta (w|p)^alpha,
 
@@ -23,10 +24,10 @@ The Hasse invariant takes one pass by suffix products,
 
     prod_{i<j} (a_i, a_j) = prod_i (a_i, a_{i+1} ... a_k),
 
-and the last suffix is the discriminant's key.  Splitting off a
-hyperbolic plane multiplies the discriminant by -1 and the Hasse
-invariant by (-1, new discriminant), so the Witt index is a peel on
-keys too.  No local function factors anything.
+and the last suffix is the discriminant's key.  Every Q_p-form of
+dimension >= 5 is isotropic, so the Witt index peels hyperbolic planes
+on keys down to dimension 3 or 4 in one step.  Places are validated
+once and cached.  No local function factors anything.
 
 By Hasse-Minkowski the Witt index over Q is the least local index.
 ``witt_index_rational`` factors the entries, to find the primes dividing
@@ -41,8 +42,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exactq import FactoredInteger, Scalar, is_prime
@@ -79,42 +81,42 @@ class Place:
 INFINITE_PLACE = Place(None)
 
 
+_place = lru_cache(maxsize=256)(Place)  # a ValueError is never cached: it recurs
+
+
 def _as_place(v: "Place | int | None") -> Place:
-    if isinstance(v, Place):
-        return v
-    return Place(v)
+    return v if isinstance(v, Place) else _place(v)
 
 
 # ---------------------------------------------------------------------------
-# Square-class keys: p is a prime, or None for the real place
+# Square-class keys of nonzero integers: p is a prime, or None for the real place
 
 
-def _legendre(u: int, p: int) -> int:
-    r = pow(u % p, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
-def _key(a: Scalar, p: Optional[int]) -> tuple:
-    """Square-class key of a nonzero rational at p."""
-    if not isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-    num, den = a.numerator, a.denominator
-    if num == 0:
+def _rep(a: Scalar) -> int:
+    """num * den, a nonzero integer in the square class of the rational a."""
+    a = a if isinstance(a, (int, Fraction)) else Fraction(a)
+    n = a.numerator * a.denominator
+    if not n:
         raise ValueError("need a nonzero value")
+    return n
+
+
+def _key(n: int, p: Optional[int]) -> tuple:
+    """Square-class key of a nonzero integer at p."""
     if p is None:
-        return (1 if num > 0 else -1,)
+        return (1 if n > 0 else -1,)
     if p == 2:
-        vn = (num & -num).bit_length() - 1
-        vd = (den & -den).bit_length() - 1
-        return ((vn + vd) % 2, (num >> vn) * (den >> vd) % 8)
+        v = (n & -n).bit_length() - 1
+        return (v & 1, (n >> v) % 8)
     v = 0
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v += 1
-    return (v % 2, _legendre(num * den, p))
+    return (v & 1, 1 if pow(n, (p - 1) // 2, p) == 1 else -1)
+
+
+def _minus_one(p: int) -> tuple:  # the key of -1 at a prime p
+    return (0, 7) if p == 2 else (0, 1 if p % 4 == 1 else -1)
 
 
 def _key_mul(x: tuple, y: tuple, p: Optional[int]) -> tuple:
@@ -132,20 +134,16 @@ def _key_hilbert(x: tuple, y: tuple, p: Optional[int]) -> int:
         return -1 if x[0] < 0 and y[0] < 0 else 1
     (alpha, u), (beta, w) = x, y
     if p == 2:
-        exponent = ((u - 1) // 2) * ((w - 1) // 2) \
-            + alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
+        exponent = (u - 1) * (w - 1) // 4 \
+            + (alpha * (w * w - 1) + beta * (u * u - 1)) // 8
         return -1 if exponent % 2 else 1
-    sign = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
-    if beta:
-        sign *= u
-    if alpha:
-        sign *= w
-    return sign
+    return (-1 if alpha and beta and p % 4 == 3 else 1) \
+        * (u if beta else 1) * (w if alpha else 1)
 
 
-def _hasse_disc(entries: Sequence[Fraction], p: Optional[int]) -> tuple[int, tuple]:
+def _hasse_disc(reps: Sequence[int], p: Optional[int]) -> tuple[int, tuple]:
     """(Hasse invariant, discriminant key) at p, by suffix products."""
-    keys = [_key(a, p) for a in entries]
+    keys = [_key(n, p) for n in reps]
     suffix = keys.pop()
     hasse = 1
     for key in reversed(keys):
@@ -157,12 +155,12 @@ def _hasse_disc(entries: Sequence[Fraction], p: Optional[int]) -> tuple[int, tup
 def hilbert_symbol(a: Scalar, b: Scalar, v: "Place | int | None") -> int:
     """(a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution in Q_v."""
     p = _as_place(v).prime
-    return _key_hilbert(_key(a, p), _key(b, p), p)
+    return _key_hilbert(_key(_rep(a), p), _key(_rep(b), p), p)
 
 
 def square_class_key(a: Scalar, v: "Place | int | None") -> tuple:
     """Canonical key for the square class of ``a`` in Q_v^* / squares."""
-    return _key(a, _as_place(v).prime)
+    return _key(_rep(a), _as_place(v).prime)
 
 
 @dataclass(frozen=True)
@@ -170,21 +168,22 @@ class DiagonalForm:
     """Nondegenerate diagonal quadratic form sum a_i x_i^2 over Q."""
 
     entries: tuple[Fraction, ...]
+    reps: tuple[int, ...] = field(init=False, compare=False, repr=False)  # num * den
 
     def __post_init__(self) -> None:
-        entries = tuple(Fraction(e) for e in self.entries)
+        entries = tuple(e if isinstance(e, Fraction) else Fraction(e)
+                        for e in self.entries)
         if not entries:
             raise ValueError("need at least one entry")
-        if any(e == 0 for e in entries):
+        reps = tuple(e.numerator * e.denominator for e in entries)
+        if 0 in reps:
             raise ValueError("entries must be nonzero")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "reps", reps)
 
     @classmethod
     def pm(cls, m: int, n: int) -> "DiagonalForm":
-        """The form with m entries +1 followed by n entries -1.
-
-        The rank m + n is at most ``PM_RANK_LIMIT``.
-        """
+        """The form <1^m, (-1)^n>, of rank m + n <= ``PM_RANK_LIMIT``."""
         if m < 0 or n < 0 or m + n < 1:
             raise ValueError("need m, n >= 0 with m + n >= 1")
         if m + n > PM_RANK_LIMIT:
@@ -205,7 +204,7 @@ class DiagonalForm:
         return len(self.entries)
 
     def signature(self) -> tuple[int, int]:
-        pos = sum(e.numerator > 0 for e in self.entries)
+        pos = sum(r > 0 for r in self.reps)
         return pos, self.dim - pos
 
     def disc(self) -> Fraction:
@@ -228,12 +227,12 @@ class LocalInvariants:
 
 
 def hasse_invariant(form: DiagonalForm, v: "Place | int | None") -> int:
-    return _hasse_disc(form.entries, _as_place(v).prime)[0]
+    return _hasse_disc(form.reps, _as_place(v).prime)[0]
 
 
 def local_invariants(form: DiagonalForm, v: "Place | int | None") -> LocalInvariants:
     place = _as_place(v)
-    hasse, disc = _hasse_disc(form.entries, place.prime)
+    hasse, disc = _hasse_disc(form.reps, place.prime)
     return LocalInvariants(
         place=place,
         dimension=form.dim,
@@ -251,7 +250,7 @@ def qp_equivalent(f: DiagonalForm, g: DiagonalForm,
         return False
     if place.is_infinite:
         return f.signature() == g.signature()
-    return _hasse_disc(f.entries, place.prime) == _hasse_disc(g.entries, place.prime)
+    return _hasse_disc(f.reps, place.prime) == _hasse_disc(g.reps, place.prime)
 
 
 # ---------------------------------------------------------------------------
@@ -262,59 +261,59 @@ def _local_isotropic(dim: int, disc: tuple, hasse: int, p: int) -> bool:
     """Isotropy over Q_p from dimension, discriminant key and Hasse invariant."""
     if dim >= 5:
         return True
-    minus_one = _key(-1, p)
-    if dim == 4:
-        return not (disc == _key(1, p)
-                    and hasse == -_key_hilbert(minus_one, minus_one, p))
+    if dim == 4:  # anisotropic iff disc is a square and hasse = -(-1, -1)_p
+        return not (disc == (0, 1) and hasse == (1 if p == 2 else -1))
+    minus_one = _minus_one(p)
     if dim == 3:
         return hasse == _key_hilbert(minus_one, _key_mul(disc, minus_one, p), p)
-    if dim == 2:
-        return disc == minus_one
-    return False
+    return dim == 2 and disc == minus_one
 
 
-def _peel(hasse: int, disc: tuple, p: int) -> tuple[int, tuple]:
-    """(Hasse, disc key) after splitting off one hyperbolic plane.
+def _peel(hasse: int, disc: tuple, p: int, k: int) -> tuple[int, tuple]:
+    """(Hasse, disc key) after splitting off k hyperbolic planes: each one
+    flips the disc and multiplies the Hasse invariant by (-1, new disc)_p,
+    so k give (-1, disc)^k (-1, -1)^(k(k+1)/2); (-1, -1)_p = -1 only at 2."""
+    if k % 2:
+        minus_one = _minus_one(p)
+        hasse *= _key_hilbert(minus_one, disc, p)
+        disc = _key_mul(disc, minus_one, p)
+    if p == 2 and k % 4 in (1, 2):
+        hasse = -hasse
+    return hasse, disc
 
-    The discriminant flips sign and the Hasse invariant picks up
-    (-1, new disc)_p.
-    """
-    minus_one = _key(-1, p)
-    disc = _key_mul(disc, minus_one, p)
-    return hasse * _key_hilbert(minus_one, disc, p), disc
+
+def _local_index(reps: Sequence[int], p: int) -> int:
+    hasse, disc = _hasse_disc(reps, p)
+    dim, index = len(reps), 0
+    while dim >= 2 and _local_isotropic(dim, disc, hasse, p):
+        k = max(1, (dim - 3) // 2)  # from dimension >= 5 to 3 or 4 in one step
+        hasse, disc = _peel(hasse, disc, p, k)
+        dim -= 2 * k
+        index += k
+    return index
 
 
 def witt_index(form: DiagonalForm, v: "Place | int | None") -> int:
     """Number of hyperbolic planes split off over Q_v."""
     place = _as_place(v)
     if place.is_infinite:
-        pos, neg = form.signature()
-        return min(pos, neg)
-    p = place.prime
-    dim = form.dim
-    hasse, disc = _hasse_disc(form.entries, p)
-    index = 0
-    while dim >= 2 and _local_isotropic(dim, disc, hasse, p):
-        dim -= 2
-        hasse, disc = _peel(hasse, disc, p)
-        index += 1
-    return index
+        return min(form.signature())
+    return _local_index(form.reps, place.prime)
 
 
 def anisotropic_dim(form: DiagonalForm, v: "Place | int | None") -> int:
     return form.dim - 2 * witt_index(form, v)
 
 
-def _relevant_primes(form: DiagonalForm) -> set[int]:
+def _is_square(n: int) -> bool:
+    return n > 0 and math.isqrt(n) ** 2 == n
+
+
+def _relevant_primes(reps: Sequence[int]) -> set[int]:
     primes = {2}
-    for n in {abs(e.numerator * e.denominator) for e in form.entries}:
+    for n in set(map(abs, reps)):
         primes.update(p for p, _ in FactoredInteger.of(n).factors)
     return primes
-
-
-def _is_rational_square(x: Scalar) -> bool:
-    n = x.numerator * x.denominator  # coprime, so x is a square iff n is
-    return n > 0 and math.isqrt(n) ** 2 == n
 
 
 def witt_index_rational(form: DiagonalForm) -> int:
@@ -327,19 +326,20 @@ def witt_index_rational(form: DiagonalForm) -> int:
     a bound at that floor, or at dim <= 2, is the answer.  A pair a, -a s^2
     in dimension 3 or 4 splits off a plane.  Only the rest factor, for S.
     """
-    dim, entries = form.dim, form.entries
-    unsplit = dim % 2 == 0 and not _is_rational_square((-1) ** (dim // 2) * form.disc())
-    bound = min(witt_index(form, None), dim // 2 - unsplit)
+    reps, dim = form.reps, form.dim  # rational squares are integer squares here
+    unsplit = dim % 2 == 0 and not _is_square((-1) ** (dim // 2) * math.prod(reps))
+    bound = min(*form.signature(), dim // 2 - unsplit)
     floor = (dim - 3) // 2
     if dim <= 2 or bound <= floor:
         return bound
     if dim <= 4:
         for i, j in itertools.combinations(range(dim), 2):
-            if _is_rational_square(-entries[i] * entries[j]):
-                rest = tuple(e for k, e in enumerate(entries) if k not in (i, j))
-                return 1 + witt_index_rational(DiagonalForm(rest))
-    for p in _relevant_primes(form):
-        bound = min(bound, witt_index(form, p))
+            if _is_square(-reps[i] * reps[j]):
+                # one plane; the rest <c> or <c, d> holds another iff -cd is a square
+                rest = [r for k, r in enumerate(reps) if k not in (i, j)]
+                return 1 + (len(rest) == 2 and _is_square(-rest[0] * rest[1]))
+    for p in _relevant_primes(reps):
+        bound = min(bound, _local_index(reps, p))
         if bound == floor:
             break
     return bound

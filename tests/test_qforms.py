@@ -425,11 +425,11 @@ def _assert_matches_referee(f: DiagonalForm, g: DiagonalForm, places) -> None:
     assert is_isotropic_rational(f) == (w >= 1), f
 
 
-def test_local_invariants_match_pairwise_referee_on_random_forms():
-    # Entries +-(1..30)/(1..30) in dimensions 1..6, at oo, at every prime
-    # dividing 2 * prod(num * den), and at 3, 5, 7.  The partner for
-    # qp_equivalent is a shuffled copy scaled by squares or a fresh form.
-    rng = random.Random(20261018)
+def _check_random_forms_against_referee(rng: random.Random, count: int,
+                                        dims: tuple[int, int]) -> None:
+    # Entries +-(1..30)/(1..30), at oo, at every prime dividing
+    # 2 * prod(num * den), and at 3, 5, 7.  The partner for qp_equivalent
+    # is a shuffled copy scaled by squares or a fresh form.
     small_primes = primes_up_to(30)
 
     def draw(dim: int) -> DiagonalForm:
@@ -438,8 +438,8 @@ def test_local_invariants_match_pairwise_referee_on_random_forms():
             for _ in range(dim)))
 
     equivalences = set()
-    for _ in range(2000):
-        f = draw(rng.randint(1, 6))
+    for _ in range(count):
+        f = draw(rng.randint(*dims))
         scaled = [e * Fraction(rng.randint(1, 9), rng.randint(1, 9)) ** 2
                   for e in f.entries]
         rng.shuffle(scaled)
@@ -450,6 +450,51 @@ def test_local_invariants_match_pairwise_referee_on_random_forms():
         _assert_matches_referee(f, g, places)
         equivalences.update(qp_equivalent(f, g, p) for p in primes)
     assert equivalences == {True, False}
+
+
+def test_local_invariants_match_pairwise_referee_on_random_forms():
+    _check_random_forms_against_referee(random.Random(20261018), 2000, (1, 6))
+
+
+def test_local_invariants_match_pairwise_referee_in_dimensions_7_to_12():
+    # The local Witt index splits k = (dim - 3) // 2 planes in one step,
+    # k = 2..4 here; at p = 2 the Hasse invariant then gains
+    # (-1, -1)_2^(k(k+1)/2), which is -1 for k = 2 and +1 for k = 3, 4.
+    _check_random_forms_against_referee(random.Random(20261019), 400, (7, 12))
+
+
+def test_witt_index_jumps_to_dimension_three_or_four(monkeypatch):
+    # <1^50000, (-1)^49999> at 2, 3, 5: one jump of 49 998 planes to
+    # dimension 3, then one more plane; the values are those that
+    # `spinchi srank 50000 49999 2 3 5` prints.
+    calls = []
+    peel = qforms._peel
+    monkeypatch.setattr(qforms, "_peel",
+                        lambda *args: calls.append(args) or peel(*args))
+    form = DiagonalForm.pm(50000, 49999)
+    for p in (2, 3, 5):
+        calls.clear()
+        assert witt_index(form, p) == 49999
+        assert len(calls) <= 2, (p, calls)
+    assert witt_index(form, None) == 49999
+    assert witt_index_rational(form) == 49999
+
+
+def test_place_cache_keeps_every_error():
+    # A validated place is reused; a bad one raises on every call.
+    assert qforms._as_place(7) is qforms._as_place(7)
+    form = DiagonalForm.pm(2, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="4 is not prime"):
+            hilbert_symbol(2, 3, 4)
+        with pytest.raises(ValueError, match="1 is not prime"):
+            witt_index(form, 1)
+        with pytest.raises(ValueError, match="0 is not prime"):
+            square_class_key(3, 0)
+        with pytest.raises(ValueError, match="need a nonzero value"):
+            hilbert_symbol(0, 3, 5)
+        with pytest.raises(ValueError, match="need a nonzero value"):
+            square_class_key(Fraction(0), 2)
 
 
 def test_local_invariants_match_pairwise_referee_on_pm_forms(monkeypatch):
