@@ -52,7 +52,7 @@ from .exactq import (
 )
 from .ggroups import (SpinGroupDescriptor, check_signature, order_degrees,
                       vol_compact_dual, weyl_ratio)
-from .qforms import Place, fp_type_twisted, witt_index, witt_index_rational
+from .qforms import fp_type_twisted, witt_index, witt_index_rational
 
 CASE_ZERO = "zero"      # m, n both odd
 CASE_0MOD4 = "0mod4"
@@ -345,7 +345,7 @@ def s_arithmetic_sign(m: int, n: int, primes: Iterable[int]) -> SArithmeticSign:
     form = desc.form()
     witt = {"oo": witt_index(form, None)}
     for p in ps:
-        witt[str(p)] = witt_index(form, Place(p))
+        witt[str(p)] = witt_index(form, p)
     rank_s = sum(witt.values())
     rank_q = witt_index_rational(form)
     if desc.dim_x % 2:

@@ -5,29 +5,30 @@ Places are the archimedean place and the primes.  For a diagonal form
 discriminant, the Hasse invariant prod_{i<j} (a_i, a_j)_v, the Witt
 index and the anisotropic dimension.
 
-Every local function works on square-class keys (``square_class_key``)
-of r = num * den, in the square class of a = num / den, one integer per
-entry that ``DiagonalForm`` computes once.  A nonzero r = p^alpha u,
-with u a p-adic unit, has the key (alpha mod 2, u mod 8) at p = 2,
-(alpha mod 2, (u|p)) at odd p, and (sign of r,) at the real place.
-The key of a product is read off the keys of the factors, and Hilbert
-symbols need nothing else; Serre's closed formulas (A Course in
-Arithmetic, III.1) are, for odd p and a = p^alpha u, b = p^beta w,
+Q_v^* / squares is an F_2-vector space.  Every local function works on
+the code of a class there, a small int (``square_class_key``), of
+r = num * den for a = num / den; ``DiagonalForm`` holds one r per entry.
+For r = p^alpha u, u a unit, bit 0 is alpha mod 2 (the sign at oo); bit
+1 is set at odd p iff u is a non-residue, at 2 it is eps(u) = (u-1)/2,
+and bit 2 at 2 is omega(u) = (u^2-1)/8 mod 2.  Codes multiply by XOR.
+Serre's formulas (A Course in Arithmetic, III.1), for odd p and
+a = p^alpha u, b = p^beta w,
 
     (a, b)_p = (-1)^(alpha beta (p-1)/2) (u|p)^beta (w|p)^alpha,
 
-and for p = 2, with eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2,
-
-    (a, b)_2 = (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u)).
+and (a, b)_2 = (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u)),
+are bilinear in the bits: one 64-entry table per class of place
+(oo, 2, p = 1 and p = 3 mod 4) holds the Hilbert symbol.
 
 The Hasse invariant takes one pass by suffix products,
 
     prod_{i<j} (a_i, a_j) = prod_i (a_i, a_{i+1} ... a_k),
 
-and the last suffix is the discriminant's key.  Every Q_p-form of
+and the last suffix is the discriminant's code.  Every Q_p-form of
 dimension >= 5 is isotropic, so the Witt index peels hyperbolic planes
-on keys down to dimension 3 or 4 in one step.  Places are validated
-once and cached.  No local function factors anything.
+down to dimension 3 or 4 in one step.  A form keeps what one pass gives
+per place, and its index over Q.  Places are validated once and
+cached.  No local function factors anything.
 
 By Hasse-Minkowski the Witt index over Q is the least local index.
 ``witt_index_rational`` factors the entries, to find the primes dividing
@@ -89,77 +90,67 @@ def _as_place(v: "Place | int | None") -> Place:
 
 
 # ---------------------------------------------------------------------------
-# Square-class keys of nonzero integers: p is a prime, or None for the real place
+# Square-class codes of nonzero integers: p is a prime, or None for the real place
 
 
 def _rep(a: Scalar) -> int:
     """num * den, a nonzero integer in the square class of the rational a."""
-    a = a if isinstance(a, (int, Fraction)) else Fraction(a)
-    n = a.numerator * a.denominator
-    if not n:
+    if type(a) is not int:
+        num, den = a.as_integer_ratio()
+        a = num * den
+    if not a:
         raise ValueError("need a nonzero value")
-    return n
+    return a
 
 
-def _key(n: int, p: Optional[int]) -> tuple:
-    """Square-class key of a nonzero integer at p."""
+_TWO_ADIC_UNIT = b"\0\0\0\6\0\4\0\2"  # u mod 8 -> eps(u) << 1 | omega(u) << 2
+
+
+def _key(n: int, p: Optional[int]) -> int:
+    """Square-class code of a nonzero integer at p."""
     if p is None:
-        return (1 if n > 0 else -1,)
+        return int(n < 0)
     if p == 2:
         v = (n & -n).bit_length() - 1
-        return (v & 1, (n >> v) % 8)
+        return v & 1 | _TWO_ADIC_UNIT[n >> v & 7]
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return (v & 1, 1 if pow(n, (p - 1) // 2, p) == 1 else -1)
+    return v & 1 | (pow(n, (p - 1) // 2, p) != 1) << 1
 
 
-def _minus_one(p: int) -> tuple:  # the key of -1 at a prime p
-    return (0, 7) if p == 2 else (0, 1 if p % 4 == 1 else -1)
+# (a, b)_v = 1 - 2 * _PAIRING[slot][x << 3 | y] for the codes x, y of a, b,
+# where the slot is p % 4 at a prime and 0 at the real place.
+_PAIRING = tuple(bytes(bit(x, y) & 1 for x in range(8) for y in range(8)) for bit in (
+    lambda x, y: x & y,  # oo: both negative
+    lambda x, y: x & y >> 1 ^ x >> 1 & y,  # p = 1 mod 4: (w|p)^alpha (u|p)^beta
+    lambda x, y: x >> 1 & y >> 1 ^ x & y >> 2 ^ x >> 2 & y,  # 2
+    lambda x, y: x & y ^ x & y >> 1 ^ x >> 1 & y,  # p = 3 mod 4: times (-1)^(alpha beta)
+))
+_MINUS_ONE = (1, 0, 2, 2)  # the code of -1, by the same slots
 
 
-def _key_mul(x: tuple, y: tuple, p: Optional[int]) -> tuple:
-    """Key of a * b from the keys of a and b."""
-    if p is None:
-        return (x[0] * y[0],)
-    if p == 2:
-        return (x[0] ^ y[0], x[1] * y[1] % 8)
-    return (x[0] ^ y[0], x[1] * y[1])
-
-
-def _key_hilbert(x: tuple, y: tuple, p: Optional[int]) -> int:
-    """(a, b)_p from the keys of a and b, by Serre's closed formulas."""
-    if p is None:
-        return -1 if x[0] < 0 and y[0] < 0 else 1
-    (alpha, u), (beta, w) = x, y
-    if p == 2:
-        exponent = (u - 1) * (w - 1) // 4 \
-            + (alpha * (w * w - 1) + beta * (u * u - 1)) // 8
-        return -1 if exponent % 2 else 1
-    return (-1 if alpha and beta and p % 4 == 3 else 1) \
-        * (u if beta else 1) * (w if alpha else 1)
-
-
-def _hasse_disc(reps: Sequence[int], p: Optional[int]) -> tuple[int, tuple]:
-    """(Hasse invariant, discriminant key) at p, by suffix products."""
-    keys = [_key(n, p) for n in reps]
-    suffix = keys.pop()
-    hasse = 1
-    for key in reversed(keys):
-        hasse *= _key_hilbert(key, suffix, p)
-        suffix = _key_mul(key, suffix, p)
-    return hasse, suffix
+def _hasse_disc(reps: Sequence[int], p: int) -> tuple[int, int]:
+    """(Hasse parity, discriminant code) at a prime p, by suffix products."""
+    table = _PAIRING[p % 4]
+    parity = suffix = 0
+    for n in reversed(reps):
+        x = _key(n, p)
+        parity ^= table[x << 3 | suffix]
+        suffix ^= x
+    return parity, suffix
 
 
 def hilbert_symbol(a: Scalar, b: Scalar, v: "Place | int | None") -> int:
     """(a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution in Q_v."""
     p = _as_place(v).prime
-    return _key_hilbert(_key(_rep(a), p), _key(_rep(b), p), p)
+    table = _PAIRING[0 if p is None else p % 4]
+    return 1 - 2 * table[_key(_rep(a), p) << 3 | _key(_rep(b), p)]
 
 
-def square_class_key(a: Scalar, v: "Place | int | None") -> tuple:
-    """Canonical key for the square class of ``a`` in Q_v^* / squares."""
+def square_class_key(a: Scalar, v: "Place | int | None") -> int:
+    """Code of the square class of ``a`` in Q_v^* / squares (module docstring)."""
     return _key(_rep(a), _as_place(v).prime)
 
 
@@ -169,6 +160,8 @@ class DiagonalForm:
 
     entries: tuple[Fraction, ...]
     reps: tuple[int, ...] = field(init=False, compare=False, repr=False)  # num * den
+    # place -> (Hasse parity, disc code, Witt index), and "Q" -> the rational index
+    _memo: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         entries = tuple(e if isinstance(e, Fraction) else Fraction(e)
@@ -180,6 +173,7 @@ class DiagonalForm:
             raise ValueError("entries must be nonzero")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def pm(cls, m: int, n: int) -> "DiagonalForm":
@@ -221,25 +215,34 @@ class LocalInvariants:
 
     place: Place
     dimension: int
-    disc_class: tuple
+    disc_class: int
     hasse: int
     signature: Optional[tuple[int, int]]  # archimedean place only
 
 
+def _local(form: DiagonalForm, p: Optional[int]) -> tuple[int, int, int]:
+    """(Hasse parity, disc code, Witt index) of ``form`` at p, computed once."""
+    data = form._memo.get(p)
+    if data is None:
+        if p is None:  # s negative entries: Hasse (-1)^(s(s-1)/2), disc (-1)^s
+            pos, neg = form.signature()
+            data = (neg * (neg - 1) // 2 & 1, neg & 1, min(pos, neg))
+        else:
+            parity, disc = _hasse_disc(form.reps, p)
+            data = (parity, disc, _local_index(form.dim, parity, disc, p))
+        form._memo[p] = data
+    return data
+
+
 def hasse_invariant(form: DiagonalForm, v: "Place | int | None") -> int:
-    return _hasse_disc(form.reps, _as_place(v).prime)[0]
+    return 1 - 2 * _local(form, _as_place(v).prime)[0]
 
 
 def local_invariants(form: DiagonalForm, v: "Place | int | None") -> LocalInvariants:
     place = _as_place(v)
-    hasse, disc = _hasse_disc(form.reps, place.prime)
-    return LocalInvariants(
-        place=place,
-        dimension=form.dim,
-        disc_class=disc,
-        hasse=hasse,
-        signature=form.signature() if place.is_infinite else None,
-    )
+    parity, disc, _ = _local(form, place.prime)
+    return LocalInvariants(place, form.dim, disc, 1 - 2 * parity,
+                           form.signature() if place.is_infinite else None)
 
 
 def qp_equivalent(f: DiagonalForm, g: DiagonalForm,
@@ -250,44 +253,43 @@ def qp_equivalent(f: DiagonalForm, g: DiagonalForm,
         return False
     if place.is_infinite:
         return f.signature() == g.signature()
-    return _hasse_disc(f.reps, place.prime) == _hasse_disc(g.reps, place.prime)
+    return _local(f, place.prime)[:2] == _local(g, place.prime)[:2]
 
 
 # ---------------------------------------------------------------------------
 # Isotropy and Witt decomposition
 
 
-def _local_isotropic(dim: int, disc: tuple, hasse: int, p: int) -> bool:
-    """Isotropy over Q_p from dimension, discriminant key and Hasse invariant."""
+def _local_isotropic(dim: int, disc: int, parity: int, p: int) -> bool:
+    """Isotropy over Q_p from dimension, discriminant code and Hasse parity."""
     if dim >= 5:
         return True
     if dim == 4:  # anisotropic iff disc is a square and hasse = -(-1, -1)_p
-        return not (disc == (0, 1) and hasse == (1 if p == 2 else -1))
-    minus_one = _minus_one(p)
-    if dim == 3:
-        return hasse == _key_hilbert(minus_one, _key_mul(disc, minus_one, p), p)
+        return not (disc == 0 and parity == (0 if p == 2 else 1))
+    minus_one = _MINUS_ONE[p % 4]
+    if dim == 3:  # isotropic iff hasse = (-1, -disc)_p
+        return parity == _PAIRING[p % 4][minus_one << 3 | (disc ^ minus_one)]
     return dim == 2 and disc == minus_one
 
 
-def _peel(hasse: int, disc: tuple, p: int, k: int) -> tuple[int, tuple]:
-    """(Hasse, disc key) after splitting off k hyperbolic planes: each one
-    flips the disc and multiplies the Hasse invariant by (-1, new disc)_p,
+def _peel(parity: int, disc: int, p: int, k: int) -> tuple[int, int]:
+    """(Hasse parity, disc code) after splitting off k hyperbolic planes: each
+    one flips the disc and multiplies the Hasse invariant by (-1, new disc)_p,
     so k give (-1, disc)^k (-1, -1)^(k(k+1)/2); (-1, -1)_p = -1 only at 2."""
     if k % 2:
-        minus_one = _minus_one(p)
-        hasse *= _key_hilbert(minus_one, disc, p)
-        disc = _key_mul(disc, minus_one, p)
+        minus_one = _MINUS_ONE[p % 4]
+        parity ^= _PAIRING[p % 4][minus_one << 3 | disc]
+        disc ^= minus_one
     if p == 2 and k % 4 in (1, 2):
-        hasse = -hasse
-    return hasse, disc
+        parity ^= 1
+    return parity, disc
 
 
-def _local_index(reps: Sequence[int], p: int) -> int:
-    hasse, disc = _hasse_disc(reps, p)
-    dim, index = len(reps), 0
-    while dim >= 2 and _local_isotropic(dim, disc, hasse, p):
+def _local_index(dim: int, parity: int, disc: int, p: int) -> int:
+    index = 0
+    while dim >= 2 and _local_isotropic(dim, disc, parity, p):
         k = max(1, (dim - 3) // 2)  # from dimension >= 5 to 3 or 4 in one step
-        hasse, disc = _peel(hasse, disc, p, k)
+        parity, disc = _peel(parity, disc, p, k)
         dim -= 2 * k
         index += k
     return index
@@ -295,10 +297,7 @@ def _local_index(reps: Sequence[int], p: int) -> int:
 
 def witt_index(form: DiagonalForm, v: "Place | int | None") -> int:
     """Number of hyperbolic planes split off over Q_v."""
-    place = _as_place(v)
-    if place.is_infinite:
-        return min(form.signature())
-    return _local_index(form.reps, place.prime)
+    return _local(form, _as_place(v).prime)[2]
 
 
 def anisotropic_dim(form: DiagonalForm, v: "Place | int | None") -> int:
@@ -326,9 +325,16 @@ def witt_index_rational(form: DiagonalForm) -> int:
     a bound at that floor, or at dim <= 2, is the answer.  A pair a, -a s^2
     in dimension 3 or 4 splits off a plane.  Only the rest factor, for S.
     """
+    index = form._memo.get("Q")
+    if index is None:
+        index = form._memo["Q"] = _rational_index(form)
+    return index
+
+
+def _rational_index(form: DiagonalForm) -> int:
     reps, dim = form.reps, form.dim  # rational squares are integer squares here
     unsplit = dim % 2 == 0 and not _is_square((-1) ** (dim // 2) * math.prod(reps))
-    bound = min(*form.signature(), dim // 2 - unsplit)
+    bound = min(_local(form, None)[2], dim // 2 - unsplit)
     floor = (dim - 3) // 2
     if dim <= 2 or bound <= floor:
         return bound
@@ -339,7 +345,7 @@ def witt_index_rational(form: DiagonalForm) -> int:
                 rest = [r for k, r in enumerate(reps) if k not in (i, j)]
                 return 1 + (len(rest) == 2 and _is_square(-rest[0] * rest[1]))
     for p in _relevant_primes(reps):
-        bound = min(bound, _local_index(reps, p))
+        bound = min(bound, _local(form, p)[2])
         if bound == floor:
             break
     return bound

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinchi import oracles, qforms
+from spinchi import euler, oracles, qforms
 from spinchi.exactq import FactoredInteger, primes_up_to
 from spinchi.oracles import (
     hilbert_bruteforce,
@@ -268,6 +268,24 @@ def test_hilbert_product_formula():
         assert product == 1, (a, b)
 
 
+def test_hilbert_pairing_on_every_pair_of_square_classes():
+    # One squarefree representative per class of Q_v^* / squares: 2 at oo,
+    # 8 at 2, 4 at odd p.  Distinct codes, the XOR product and the symbol
+    # on every pair of classes pin every entry of the pairing tables.
+    classes = {None: [1, -1], 2: [1, 3, 5, 7, 2, 6, 10, 14]}
+    for p in (3, 5, 7, 11, 13):
+        nonres = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
+        classes[p] = [1, nonres, p, p * nonres]
+    for v, reps in classes.items():
+        codes = [square_class_key(a, v) for a in reps]
+        assert len(set(codes)) == len(reps), (v, codes)
+        for (a, x), (b, y) in itertools.product(zip(reps, codes), repeat=2):
+            assert square_class_key(a * b, v) == x ^ y, (a, b, v)
+            want = hilbert_bruteforce(a, b, v)
+            assert hilbert_symbol(a, b, v) == want, (a, b, v)
+            assert hilbert_closed(a, b, v) == want, (a, b, v)
+
+
 def test_hilbert_symbol_rejects_zero():
     with pytest.raises(ValueError):
         hilbert_symbol(0, 3, 2)
@@ -478,6 +496,70 @@ def test_witt_index_jumps_to_dimension_three_or_four(monkeypatch):
         assert len(calls) <= 2, (p, calls)
     assert witt_index(form, None) == 49999
     assert witt_index_rational(form) == 49999
+
+
+def _hasse_and_disc_class(form: DiagonalForm, v) -> tuple:
+    inv = local_invariants(form, v)
+    return inv.hasse, inv.disc_class
+
+
+def test_memo_answers_match_a_fresh_form_in_any_order():
+    # Each form keeps its local data per place and its rational index; in
+    # any order of queries every answer must equal a fresh form's and the
+    # referee's, and the kept data must not change equality, hash or repr.
+    rng = random.Random(20261020)
+
+    def draw(dim: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 30),
+                              rng.randint(1, 30)) for _ in range(dim))
+
+    for _ in range(300):
+        entries = draw(rng.randint(1, 8))
+        f, g = DiagonalForm(entries), DiagonalForm(draw(len(entries)))
+        w = oracles.witt_index_rational_peel(entries)
+        queries = [(witt_index_rational, w), (is_isotropic_rational, w >= 1)]
+        for v in (None, 2, 3, 5, 7):
+            queries += [
+                (functools.partial(witt_index, v=v), oracles.witt_index_peel(entries, v)),
+                (functools.partial(hasse_invariant, v=v), oracles.hasse_pairwise(entries, v)),
+                (functools.partial(qp_equivalent, g=g, v=v),
+                 oracles.qp_equivalent_pairwise(entries, g.entries, v)),
+                (functools.partial(_hasse_and_disc_class, v=v),
+                 (oracles.hasse_pairwise(entries, v), square_class_key(f.disc(), v))),
+            ]
+        rng.shuffle(queries)
+        for query, want in queries:
+            assert query(f) == query(DiagonalForm(entries)) == want, (query, f)
+        fresh = DiagonalForm(entries)
+        assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+
+
+def test_each_form_and_place_takes_one_pass(monkeypatch):
+    # One O(dim) pass per form and prime, however many functions ask; the
+    # rational index is computed once for isotropy and index together.
+    passes, rational = [], []
+    hasse_disc, rational_index = qforms._hasse_disc, qforms._rational_index
+    monkeypatch.setattr(qforms, "_hasse_disc",
+                        lambda reps, p: passes.append(p) or hasse_disc(reps, p))
+    monkeypatch.setattr(qforms, "_rational_index",
+                        lambda form: rational.append(form) or rational_index(form))
+    res = euler.s_arithmetic_sign(50000, 49999, (2, 3, 5))
+    assert sorted(passes) == [2, 3, 5]
+    assert res.witt_by_place == {"oo": 49999, "2": 49999, "3": 49999, "5": 49999}
+    assert res.rank_rational == 49999
+    passes.clear()
+    form = DiagonalForm.parse("b(2000,1)")
+    assert (witt_index(form, 3), anisotropic_dim(form, 3)) == (1000, 1)
+    assert passes == [3]
+    passes.clear()
+    rational.clear()
+    form = DiagonalForm.parse("1,1,-3")
+    assert not is_isotropic_rational(form)
+    assert witt_index_rational(form) == 0
+    assert (witt_index(form, 2), witt_index(form, 3)) == (0, 0)
+    assert len(rational) == 1 and sorted(passes) == [2, 3]
+    with pytest.raises(ValueError, match="4 is not prime"):
+        euler.s_arithmetic_sign(5, 3, (2, 4))
 
 
 def test_place_cache_keeps_every_error():
