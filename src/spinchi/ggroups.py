@@ -130,10 +130,7 @@ def vol_compact_dual(d: int) -> PiExact:
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    exponent = Fraction(3 * d - d * d, 2)
-    if exponent.denominator != 1:
-        raise AssertionError("3d - d^2 is always even")
-    out = PiExact(Fraction(2) ** int(exponent), 0)
+    out = PiExact(Fraction(2) ** ((3 * d - d * d) // 2), 0)  # d(3 - d) is even
     for j in range(2, d + 1):
         out = out * PiExact(Fraction(1), j) / gamma_half(j)
     return out

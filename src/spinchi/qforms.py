@@ -24,11 +24,11 @@ The Hasse invariant takes one pass by suffix products,
 
     prod_{i<j} (a_i, a_j) = prod_i (a_i, a_{i+1} ... a_k),
 
-and the last suffix is the discriminant's code.  Every Q_p-form of
-dimension >= 5 is isotropic, so the Witt index peels hyperbolic planes
-down to dimension 3 or 4 in one step.  A form keeps what one pass gives
-per place, and its index over Q.  Places are validated once and
-cached.  No local function factors anything.
+and the last suffix is the discriminant's code.  A Q_p-form is fixed by
+its dimension, discriminant and Hasse invariant, and is isotropic from
+dimension 5 on, so its Witt index is a closed function of those three.
+A form keeps what one pass gives per place, and its index over Q.
+Places are validated once and cached.  No local function factors anything.
 
 By Hasse-Minkowski the Witt index over Q is the least local index.
 ``witt_index_rational`` factors the entries, to find the primes dividing
@@ -260,39 +260,22 @@ def qp_equivalent(f: DiagonalForm, g: DiagonalForm,
 # Isotropy and Witt decomposition
 
 
-def _local_isotropic(dim: int, disc: int, parity: int, p: int) -> bool:
-    """Isotropy over Q_p from dimension, discriminant code and Hasse parity."""
-    if dim >= 5:
-        return True
-    if dim == 4:  # anisotropic iff disc is a square and hasse = -(-1, -1)_p
-        return not (disc == 0 and parity == (0 if p == 2 else 1))
-    minus_one = _MINUS_ONE[p % 4]
-    if dim == 3:  # isotropic iff hasse = (-1, -disc)_p
-        return parity == _PAIRING[p % 4][minus_one << 3 | (disc ^ minus_one)]
-    return dim == 2 and disc == minus_one
-
-
-def _peel(parity: int, disc: int, p: int, k: int) -> tuple[int, int]:
-    """(Hasse parity, disc code) after splitting off k hyperbolic planes: each
-    one flips the disc and multiplies the Hasse invariant by (-1, new disc)_p,
-    so k give (-1, disc)^k (-1, -1)^(k(k+1)/2); (-1, -1)_p = -1 only at 2."""
-    if k % 2:
-        minus_one = _MINUS_ONE[p % 4]
-        parity ^= _PAIRING[p % 4][minus_one << 3 | disc]
-        disc ^= minus_one
-    if p == 2 and k % 4 in (1, 2):
-        parity ^= 1
-    return parity, disc
-
-
 def _local_index(dim: int, parity: int, disc: int, p: int) -> int:
-    index = 0
-    while dim >= 2 and _local_isotropic(dim, disc, parity, p):
-        k = max(1, (dim - 3) // 2)  # from dimension >= 5 to 3 or 4 in one step
-        parity, disc = _peel(parity, disc, p, k)
-        dim -= 2 * k
-        index += k
-    return index
+    """Witt index over Q_p from (dim, disc code, Hasse parity), in closed form.
+
+    k = dim // 2 planes, plus <c>, c = (-1)^k disc, in odd dimension, have
+    disc (-1)^k and Hasse (-1, -1)^(k(k-1)/2) ((-1)^k, c).  The index is k
+    if both agree, else k - 1 (forms of dimension >= 5 are isotropic), but
+    k - 2 for the anisotropic 4-space: even dim, equal disc, other Hasse.
+    """
+    k, table, minus_one = dim // 2, _PAIRING[p % 4], _MINUS_ONE[p % 4]
+    split = k * (k - 1) // 2 & table[minus_one << 3 | minus_one]  # Hasse of k planes
+    if dim % 2:
+        c = disc ^ (k & 1) * minus_one
+        return k - (parity != split ^ (k & table[minus_one << 3 | c]))
+    if disc != (k & 1) * minus_one:
+        return k - 1
+    return k - 2 * (parity != split)
 
 
 def witt_index(form: DiagonalForm, v: "Place | int | None") -> int:

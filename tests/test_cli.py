@@ -10,11 +10,12 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 
-from spinchi import euler, profinite
+from spinchi import cli, euler, exactq, profinite
 from spinchi.cli import main
 from spinchi.euler import chi_closed
-from spinchi.exactq import FactoredInteger
+from spinchi.exactq import FactoredInteger, ResidualPiPowerError
 
 
 def run(capsys, *argv):
@@ -171,6 +172,29 @@ def test_table_csv_d36_is_frozen(capsys):
         "832a6ceb99b6fd62803c3bb5605f54bde49d857a52fda0f48861f730ab24d841"
 
 
+def test_table_pretty_columns_are_aligned_csv_cells(capsys):
+    _, csv, _ = run(capsys, "table", "--d-max", "8", "--csv")
+    code, out, _ = run(capsys, "table", "--d-max", "8", "--pretty")
+    assert code == 0
+    header, *rows = out.rstrip("\n").split("\n")
+    csv_header, *csv_rows = csv.strip().splitlines()
+    fields = header.split()
+    assert fields == csv_header.split(",")
+    starts = []
+    for f in fields:
+        starts.append(header.index(f, starts[-1] + 1 if starts else 0))
+    ends = [s - 2 for s in starts[1:]] + [len(header)]
+    assert len(rows) == len(csv_rows)
+    for line, csv_row in zip(rows, csv_rows):
+        assert len(line) == len(header), line
+        cells = csv_row.split(",")
+        for start, end, cell in zip(starts, ends, cells):
+            assert line[start:end] == cell.ljust(end - start), (line, cell)
+        assert all(line[end:end + 2] == "  " for end in ends[:-1]), line
+    for i, (start, end) in enumerate(zip(starts, ends)):  # widths are tight
+        assert end - start == max(len(fields[i]), *(len(r.split(",")[i]) for r in csv_rows))
+
+
 def test_table_json_lines(capsys):
     code, out, _ = run(capsys, "table", "--d-max", "4")
     assert code == 0
@@ -274,6 +298,23 @@ def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "exactq")
     assert code == 0
     assert out.strip() == "PASS exactq"
+
+
+def test_verify_reports_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(exactq, "gen_bernoulli_mod4", lambda ell: Fraction(1))
+    code, out, _ = run(capsys, "verify", "exactq")
+    assert code == 3
+    assert out.startswith("FAIL exactq: ")
+
+
+def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
+    def residual(m, n):
+        raise ResidualPiPowerError("pi^1 left over")
+    monkeypatch.setattr(cli.euler_mod, "adelic_assembly_exact", residual)
+    code, out, err = run(capsys, "verify", "adelic")
+    assert code == 3
+    assert out == ""
+    assert err == "internal invariant failure: pi^1 left over\n"
 
 
 def test_domain_errors_exit_2(capsys):

@@ -268,15 +268,20 @@ def test_hilbert_product_formula():
         assert product == 1, (a, b)
 
 
-def test_hilbert_pairing_on_every_pair_of_square_classes():
-    # One squarefree representative per class of Q_v^* / squares: 2 at oo,
-    # 8 at 2, 4 at odd p.  Distinct codes, the XOR product and the symbol
-    # on every pair of classes pin every entry of the pairing tables.
+def _square_class_reps(primes) -> dict:
+    """One squarefree representative per class of Q_v^* / squares: 2 at
+    oo, 8 at 2, 4 at each odd p in ``primes``."""
     classes = {None: [1, -1], 2: [1, 3, 5, 7, 2, 6, 10, 14]}
-    for p in (3, 5, 7, 11, 13):
+    for p in primes:
         nonres = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
         classes[p] = [1, nonres, p, p * nonres]
-    for v, reps in classes.items():
+    return classes
+
+
+def test_hilbert_pairing_on_every_pair_of_square_classes():
+    # Distinct codes, the XOR product and the symbol on every pair of
+    # classes pin every entry of the pairing tables.
+    for v, reps in _square_class_reps((3, 5, 7, 11, 13)).items():
         codes = [square_class_key(a, v) for a in reps]
         assert len(set(codes)) == len(reps), (v, codes)
         for (a, x), (b, y) in itertools.product(zip(reps, codes), repeat=2):
@@ -475,27 +480,46 @@ def test_local_invariants_match_pairwise_referee_on_random_forms():
 
 
 def test_local_invariants_match_pairwise_referee_in_dimensions_7_to_12():
-    # The local Witt index splits k = (dim - 3) // 2 planes in one step,
-    # k = 2..4 here; at p = 2 the Hasse invariant then gains
-    # (-1, -1)_2^(k(k+1)/2), which is -1 for k = 2 and +1 for k = 3, 4.
+    # The closed local index compares with k = dim // 2 hyperbolic planes,
+    # k = 3..6 here; at p = 2 their Hasse invariant (-1, -1)_2^(k(k-1)/2)
+    # is -1 for k = 3, 6 and +1 for k = 4, 5.
     _check_random_forms_against_referee(random.Random(20261019), 400, (7, 12))
 
 
-def test_witt_index_jumps_to_dimension_three_or_four(monkeypatch):
-    # <1^50000, (-1)^49999> at 2, 3, 5: one jump of 49 998 planes to
-    # dimension 3, then one more plane; the values are those that
+def test_closed_local_index_matches_the_peel_in_every_state():
+    # One representative per square class at 2, 3, 5, 7: every tuple in
+    # dimension 1 and 2, and <1^(dim-3), a, b, c> with a <= b <= c from
+    # dimension 3 to 12, which reaches every (disc, Hasse) state there.
+    for p, reps in _square_class_reps((3, 5, 7)).items():
+        if p is None:
+            continue
+        for dim in range(1, 13):
+            tuples = (itertools.product(reps, repeat=dim) if dim <= 2 else
+                      ((1,) * (dim - 3) + abc
+                       for abc in itertools.combinations_with_replacement(reps, 3)))
+            states = set()
+            for entries in tuples:
+                f = DiagonalForm(entries)
+                assert witt_index(f, p) == oracles.witt_index_peel(f.entries, p), (f, p)
+                states.add(_hasse_and_disc_class(f, p))
+            if dim >= 3:
+                assert len(states) == 2 * len(reps), (p, dim, states)
+
+
+def test_witt_index_is_one_closed_step_per_place(monkeypatch):
+    # <1^50000, (-1)^49999> at 2, 3, 5: one closed _local_index call per
+    # place, none for the rational index; the values are those that
     # `spinchi srank 50000 49999 2 3 5` prints.
     calls = []
-    peel = qforms._peel
-    monkeypatch.setattr(qforms, "_peel",
-                        lambda *args: calls.append(args) or peel(*args))
+    local_index = qforms._local_index
+    monkeypatch.setattr(qforms, "_local_index",
+                        lambda *args: calls.append(args) or local_index(*args))
     form = DiagonalForm.pm(50000, 49999)
     for p in (2, 3, 5):
-        calls.clear()
         assert witt_index(form, p) == 49999
-        assert len(calls) <= 2, (p, calls)
     assert witt_index(form, None) == 49999
     assert witt_index_rational(form) == 49999
+    assert [args[3] for args in calls] == [2, 3, 5], calls
 
 
 def _hasse_and_disc_class(form: DiagonalForm, v) -> tuple:
