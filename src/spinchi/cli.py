@@ -1,14 +1,16 @@
 """Command-line front end.  JSON by default, --pretty / --csv opt-in.
 
-Exit codes: 0 success, 2 argument or domain validation error, 3 internal
-invariant failure (residual pi power, 2-adic integrality, failed verify
-suite).  All exact values are emitted as strings so nothing is rounded.
+Exit codes: 0 success, 1 stdout closed early (a broken pipe, as in
+``| head``), 2 argument or domain validation error, 3 internal invariant
+failure (residual pi power, 2-adic integrality, failed verify suite).
+All exact values are emitted as strings so nothing is rounded.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -339,7 +341,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader left: point stdout at devnull so the last flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ResidualPiPowerError, clifford.TwoAdicIntegralityError,
             AssertionError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)

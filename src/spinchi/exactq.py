@@ -15,9 +15,9 @@ powers of pi, and factored integers.  This module provides those scalars:
   rather than approximated.
 * ``FactoredInteger``: the one factorization type, a signed prime
   factorization of a nonzero integer.  Products add exponents, so a
-  product of factored pieces never has to be factored again.  Trial
-  division by the primes <= 10^4 (sieved on first use), then Miller-Rabin
-  and Pollard-Brent for any larger cofactor; no large prime table.
+  product of factored pieces never has to be factored again.  One trial
+  loop to min(sqrt(n), 10^4), then one work-list of cofactors, each kept
+  as prime or split by Pollard-Brent; no large prime table.
 * ``decimal_str``: the decimal digits of an integer of any size.
 
 All functions are pure; memoization uses ``functools.lru_cache`` (safe
@@ -25,7 +25,6 @@ under CPython threading).
 """
 from __future__ import annotations
 
-import bisect
 import decimal
 import itertools
 import math
@@ -33,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -290,10 +289,10 @@ _EXTRA_RANDOM_ROUNDS = 24  # above the deterministic bound
 _TRIAL_BOUND = 10 ** 4
 
 
-def _primes(bound: int) -> Iterator[int]:
-    """The primes <= bound in ascending order, by a sieve over odd numbers."""
+def primes_up_to(bound: int) -> list[int]:
+    """All primes <= bound, by a sieve over odd numbers."""
     if bound < 2:
-        return iter(())
+        return []
     size = (bound + 1) // 2
     odd_flags = bytearray([1]) * size  # odd_flags[i]: is 2i + 1 prime
     odd_flags[0] = 0
@@ -301,18 +300,13 @@ def _primes(bound: int) -> Iterator[int]:
         if odd_flags[i]:
             p = 2 * i + 1
             odd_flags[p * p // 2:: p] = bytes(len(range(p * p // 2, size, p)))
-    return itertools.chain((2,), itertools.compress(range(1, bound + 1, 2), odd_flags))
-
-
-def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, by sieve."""
-    return list(_primes(bound))
+    return [2, *itertools.compress(range(1, bound + 1, 2), odd_flags)]
 
 
 @lru_cache(maxsize=1)
 def _trial_primes() -> tuple[int, ...]:
     """The primes <= _TRIAL_BOUND, sieved on first use."""
-    return tuple(_primes(_TRIAL_BOUND))
+    return tuple(primes_up_to(_TRIAL_BOUND))
 
 
 def _mr_witness(a: int, n: int, d: int, r: int) -> bool:
@@ -365,7 +359,7 @@ def _pollard_brent(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -373,20 +367,9 @@ def _pollard_brent(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
-
-
-def _factor_into(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    d = _pollard_brent(n)
-    _factor_into(d, out)
-    _factor_into(n // d, out)
 
 
 @dataclass(frozen=True)
@@ -404,26 +387,29 @@ class FactoredInteger:
     def of(cls, n: int) -> "FactoredInteger":
         if n == 0:
             raise ValueError("cannot factor 0")
-        sign = 1 if n > 0 else -1
-        n = abs(n)
         found: dict[int, int] = {}
-        primes = _trial_primes()
-        for p in primes[:bisect.bisect_right(primes, math.isqrt(n))]:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                found[p] = e
-                if p * p > n:
-                    break
-        # n has no prime factor <= min(sqrt(n), _TRIAL_BOUND) left, so
-        # below _TRIAL_BOUND^2 it is 1 or a prime; above, Pollard-Brent.
-        if n >= _TRIAL_BOUND ** 2:
-            _factor_into(n, found)
-        elif n > 1:
-            found[n] = 1
-        return cls(sign, tuple(sorted(found.items())))
+        rest = abs(n)
+        limit = math.isqrt(rest)
+        for p in _trial_primes():
+            if p > limit:
+                break
+            if rest % p == 0:
+                while rest % p == 0:
+                    rest //= p
+                    found[p] = found.get(p, 0) + 1
+                limit = math.isqrt(rest)
+        # No prime <= min(sqrt(rest), _TRIAL_BOUND) divides rest, nor any
+        # piece Pollard-Brent splits off it, so a piece below
+        # _TRIAL_BOUND^2 is prime.
+        pieces = [rest] if rest > 1 else []
+        while pieces:
+            m = pieces.pop()
+            if m < _TRIAL_BOUND ** 2 or is_prime(m):
+                found[m] = found.get(m, 0) + 1
+            else:
+                d = _pollard_brent(m)
+                pieces += (d, m // d)
+        return cls(1 if n > 0 else -1, tuple(sorted(found.items())))
 
     @property
     def value(self) -> int:

@@ -8,6 +8,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -330,6 +332,24 @@ def test_domain_errors_exit_2(capsys):
     assert "m + n <= 100000" in err
     code, _, err = run(capsys, "table", "--d-max", "2")
     assert code == 2
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # As in `spinchi ... | head`: the reader closes the pipe before the
+    # output is written, during a print (table) or at the final flush (chi).
+    # stdout is block-buffered, as in a shell pipeline, so a buffer is left
+    # over for the interpreter's last flush.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv in (["table", "--d-max", "40", "--csv"], ["chi", "8", "2"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "spinchi.cli", *argv], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b""), argv
 
 
 def test_argparse_errors_exit_2(capsys):

@@ -146,6 +146,10 @@ def test_ring_structural_equality():
     assert IntegerRing() == ZZ
     assert RationalRing() != IntegerRing()
     assert DualNumbers(ModularRing(8)) == DualNumbers(ModularRing(8))
+    assert hash(ModularRing(64)) == hash(ModularRing(64))
+    assert repr(DualNumbers(ModularRing(8))) == "Z/8[eps]"
+    with pytest.raises(ValueError):
+        ModularRing(1)
 
 
 def test_ring_axioms_random():
@@ -366,6 +370,9 @@ def test_element_basics():
     assert str(x - x) == "0"
     assert x.scale(2) == CliffordElement(sig, ZZ, {0: -2, 0b11: 6})
     assert 2 * x == x.scale(2)
+    assert x * 3 == x.scale(3)
+    assert (x == 3) is False
+    assert repr(x) == "<-1*e{} + 3*e{1,2} over Z, sig=(2,1)>"
     with pytest.raises(ValueError):
         CliffordElement(sig, ZZ, {0b1000: 1})  # blade outside dimension
     with pytest.raises(ValueError):
@@ -589,6 +596,8 @@ def test_exp_domain_errors():
         clifford_exp(CliffordElement(sig, ZZ, {0b1: 4}), 8)
     with pytest.raises(ValueError):
         clifford_exp(CliffordElement(sig, ZZ, {0b11: 4}), 0)
+    with pytest.raises(TypeError):
+        clifford_exp(CliffordElement(sig, DualNumbers(ZZ), {0b11: (4, 0)}), 8)
 
 
 def test_log_domain_errors():

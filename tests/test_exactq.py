@@ -356,6 +356,7 @@ def test_pi_exact_str():
     assert str(PiExact(Fraction(1, 6), 4)) == "1/6 * pi^2"
     assert str(PiExact(Fraction(3), 0)) == "3"
     assert str(PiExact(Fraction(1, 4), 1)) == "1/4 * pi^(1/2)"
+    assert str(PiExact(Fraction(1), 2)) == "1 * pi"
     assert str(PiExact(Fraction(0), 0)) == "0"
 
 
@@ -463,6 +464,41 @@ def test_factored_integer_above_the_trial_bound():
         assert fi.value == n
 
 
+def test_factoring_tests_and_splits_only_pieces_above_the_trial_square(monkeypatch):
+    # Trial division leaves no prime <= _TRIAL_BOUND in the cofactor, so a
+    # piece below _TRIAL_BOUND^2 is prime without Miller-Rabin, and
+    # Pollard-Brent is only handed composites at least that large.
+    tested, split = [], []
+    real_is_prime, real_split = exactq.is_prime, exactq._pollard_brent
+
+    def is_prime_spy(n: int) -> bool:
+        tested.append(n)
+        return real_is_prime(n)
+
+    def split_spy(n: int) -> int:
+        split.append(n)
+        return real_split(n)
+
+    monkeypatch.setattr(exactq, "is_prime", is_prime_spy)
+    monkeypatch.setattr(exactq, "_pollard_brent", split_spy)
+    cases = {
+        2 ** 5 * 10007 * 31337 * 999983: {2: 5, 10007: 1, 31337: 1, 999983: 1},
+        10007 ** 3 * 999983: {10007: 3, 999983: 1},
+        999999937 ** 2 * 1000000007: {999999937: 2, 1000000007: 1},
+    }
+    for n, chosen in cases.items():
+        fi = FactoredInteger.of(n)
+        assert fi.factors == tuple(sorted(chosen.items())), n
+        assert fi.value == n
+    fi = FactoredInteger.of(zigzag(47))
+    assert fi.value == zigzag(47)
+    assert all(real_is_prime(p) for p, _ in fi.factors)
+    assert [p for p, _ in fi.factors] == sorted({p for p, _ in fi.factors})
+    assert tested and split
+    assert all(n >= _TRIAL_BOUND ** 2 for n in tested), sorted(tested)
+    assert all(n >= _TRIAL_BOUND ** 2 and not real_is_prime(n) for n in split), split
+
+
 def test_factored_zigzag_numbers():
     # The integers chi is built from: A_i for odd i <= 67, even i <= 42.
     for i in (*range(1, 68, 2), *range(2, 43, 2)):
@@ -477,6 +513,8 @@ def test_factored_integer_products():
     # products add exponents and multiply signs, with the primes ascending
     assert FactoredInteger.of(-1) * FactoredInteger.of(-1) == FactoredInteger.of(1)
     assert FactoredInteger.of(12) * FactoredInteger.of(-1) == FactoredInteger(-1, ((2, 2), (3, 1)))
+    with pytest.raises(TypeError):
+        FactoredInteger.of(6) * 2
     rng = random.Random(5)
     for _ in range(100):
         a, b = (rng.choice((-1, 1)) * rng.choice((1, rng.randrange(1, 10 ** 6)))

@@ -317,6 +317,8 @@ def test_diagonal_form_construction():
     with pytest.raises(ValueError):
         DiagonalForm.pm(qforms.PM_RANK_LIMIT, 1)
     with pytest.raises(ValueError):
+        DiagonalForm.pm(-1, 2)
+    with pytest.raises(ValueError):
         DiagonalForm.parse("b(99999999999999999999,1)")
 
 
