@@ -28,10 +28,11 @@ left blades J in Gray-code order, keeping (P, Q) = e(J) y: a step to
 J xor e_k is left multiplication by e_k, which swaps the slots L with
 e_k e(L) = -e(L xor e_k) between P and Q (one character mask), moves
 slot L to L xor e_k (a mask, two shifts, an or), and swaps P and Q when
-e(J xor e_k) = -e_k e(J).  Each left coefficient c adds c P and c Q
-(or c Q and c P for c < 0) to two accumulators; their difference plus
-2^(w-1) in each slot is unpacked once.  The masks depend only on d, m
-and w and are built on first use and cached.
+e(J xor e_k) = -e_k e(J); both signs are parities of sign_mask(e_k) & L
+and & J.  Each left coefficient c adds c P and c Q (or c Q and c P for
+c < 0) to two accumulators; their difference plus 2^(w-1) in each slot
+is unpacked once.  The masks depend only on d, m and w and are built on
+first use and cached.
 
 The 2-adic exponential and logarithm check their input up front (4 times
 the integral Lie algebra for exp, 1 + 4*C_0 for log, else
@@ -124,10 +125,7 @@ def sign_mask(j: Blade, m: int) -> int:
     Bit i of S is the parity of the bits of J above i (the inversions
     e_{i+1} makes with J), xor bit i of J when i >= m (e_{i+1}^2 = -1).
     """
-    s = j >> 1
-    for shift in (1, 2, 4, 8, 16, 32):
-        s ^= s >> shift
-    return s ^ (j >> m << m)
+    return _gray_rank(j >> 1) ^ (j >> m << m)
 
 
 def _gray_rank(blade: Blade) -> int:
@@ -138,22 +136,22 @@ def _gray_rank(blade: Blade) -> int:
 
 
 @lru_cache(maxsize=8)
-def _slot_masks(d: int, m: int, width: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
+def _slot_masks(d: int, m: int, width: int) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
     """Masks for 2^d little-endian slots of ``width`` bytes.
 
-    Per generator bit k: the slots L with e_k e(L) = -e(L xor e_k), the
-    slots with bit k set, and the shift of 2^k slots in bits; then the
-    bias, 2^(8 width - 1) in every slot.
+    Per generator bit k: ``sign_mask(e_k, m)``, the slots L with
+    e_k e(L) = -e(L xor e_k), the slots with bit k set, and the shift of
+    2^k slots in bits; then the bias, 2^(8 width - 1) in every slot.
     """
     ones, zeros = b"\xff" * width, bytes(width)
     steps = []
     for k in range(d):
-        below, bit = (1 << k) - 1, 1 << k
-        flips = (((blade & below).bit_count() + (blade & bit and k >= m)) & 1
-                 for blade in range(1 << d))
-        flip = b"".join(ones if f else zeros for f in flips)
+        bit = 1 << k
+        s = sign_mask(bit, m)
+        flip = b"".join(ones if (s & blade).bit_count() & 1 else zeros
+                        for blade in range(1 << d))
         high = (zeros * bit + ones * bit) * (1 << (d - k - 1))
-        steps.append((int.from_bytes(flip, "little"), int.from_bytes(high, "little"),
+        steps.append((s, int.from_bytes(flip, "little"), int.from_bytes(high, "little"),
                       (8 * width) << k))
     bias = (bytes(width - 1) + b"\x80") * (1 << d)
     return tuple(steps), int.from_bytes(bias, "little")
@@ -180,8 +178,7 @@ def _packed_product(x: dict[Blade, int], y: dict[Blade, int], sig: Signature) ->
         while diff:
             low = diff & -diff
             diff ^= low
-            k = low.bit_length() - 1
-            flip, high, shift = steps[k]
+            s, flip, high, shift = steps[low.bit_length() - 1]
             t = (p ^ q) & flip
             p ^= t
             q ^= t
@@ -189,7 +186,7 @@ def _packed_product(x: dict[Blade, int], y: dict[Blade, int], sig: Signature) ->
             p = h >> shift | (p ^ h) << shift
             h = q & high
             q = h >> shift | (q ^ h) << shift
-            if ((j & (low - 1)).bit_count() + (j & low and k >= m)) & 1:
+            if (s & j).bit_count() & 1:
                 p, q = q, p
             j ^= low
         c = x[b1]

@@ -52,7 +52,7 @@ from .exactq import (
 )
 from .ggroups import (SpinGroupDescriptor, check_signature, order_degrees,
                       vol_compact_dual, weyl_ratio)
-from .qforms import fp_type_twisted, witt_index, witt_index_rational
+from .qforms import fp_type_twisted, witt_index
 
 CASE_ZERO = "zero"      # m, n both odd
 CASE_0MOD4 = "0mod4"
@@ -343,11 +343,11 @@ def s_arithmetic_sign(m: int, n: int, primes: Iterable[int]) -> SArithmeticSign:
     desc = SpinGroupDescriptor(m, n)
     ps = tuple(sorted(set(primes)))
     form = desc.form()
-    witt = {"oo": witt_index(form, None)}
+    rank_q = min(m, n)  # <1, -1> is a hyperbolic plane, the rest is definite
+    witt = {"oo": rank_q}
     for p in ps:
         witt[str(p)] = witt_index(form, p)
     rank_s = sum(witt.values())
-    rank_q = witt_index_rational(form)
     if desc.dim_x % 2:
         return SArithmeticSign(desc, ps, witt, rank_s, rank_q, 0, True)
     sign = (-1 if (desc.dim_x // 2) % 2 else 1) * (-1 if rank_q % 2 else 1)

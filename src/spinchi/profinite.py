@@ -7,11 +7,11 @@ profinite completion needs trivial congruence kernels, which Kneser's
 criterion gives when both rational Witt indices are >= 2; below that the
 conclusion is recorded as conditional rather than claimed.
 
-The sweeps instantiate, over all descriptor pairs with d <= d_max, the
-constraints every locally-equivalent pair must satisfy: dim X mod 4,
-delta and sign(chi) all agree.  Violations are collected, never silently
-dropped; an entry in the violations list is a bug by theorem.  The chi
-values themselves are not profinite invariants, and
+The sweeps walk the pairs inside each class of ``genus_classes(d)``,
+d <= d_max, and check what every locally-equivalent pair must satisfy:
+dim X mod 4, delta and sign(chi) all agree.  Violations are collected,
+never silently dropped; an entry in the violations list is a bug by
+theorem.  The chi values themselves are not profinite invariants, and
 ``sweep_euler_not_profinite`` lists the witnessing pairs.
 """
 from __future__ import annotations
@@ -20,11 +20,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .euler import EulerResult, chi_closed
 from .ggroups import SpinGroupDescriptor
-from .qforms import genus_first_failure, witt_index_rational
+from .qforms import genus_classes, genus_first_failure
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,7 @@ def profinitely_commensurable(m: int, n: int, m2: int, n2: int,
     # the rule holds at every p; the text is kept so the CLI JSON is unchanged
     witness = "all p <= 100 pass" if equal else failure
 
-    w1 = witt_index_rational(first.form())
-    w2 = witt_index_rational(second.form())
+    w1, w2 = min(m, n), min(m2, n2)  # <1, -1> is a hyperbolic plane, the rest definite
     unconditional = w1 >= 2 and w2 >= 2
     csp_note = (
         f"rational Witt indices {w1} and {w2}: "
@@ -92,7 +90,7 @@ class SweepReport:
     chi_ratio_notes: tuple[str, ...]
 
 
-def _equivalent_pairs(d_max: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+def _equivalent_pairs(d_max: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Locally equivalent signature pairs (a, b) of equal d in 3..d_max.
 
     Ordered by d, then by a, then by b, with a before b in the order
@@ -100,32 +98,25 @@ def _equivalent_pairs(d_max: int) -> Iterator[tuple[tuple[int, int], tuple[int, 
     """
     if d_max < 3:
         raise ValueError("need d_max >= 3")
-    return ((a, b) for d in range(3, d_max + 1)
-            for a, b in itertools.combinations(
-                [(m, d - m) for m in range(1, d)], 2)
-            if genus_first_failure(*a, *b) is None)
+    return [pair for d in range(3, d_max + 1)
+            for pair in sorted(ab for cls in genus_classes(d)
+                               for ab in itertools.combinations(cls, 2))]
 
 
 def sweep_theorem_frank_dim(d_max: int) -> SweepReport:
     """Check dim-mod-4, delta and sign constraints on all equivalent pairs.
 
-    Enumerates every descriptor pair of equal d <= d_max.  Classes are the
-    local-equivalence classes with more than one member.  The chi-ratio
-    notes record the observed power-of-2 pattern for delta = 0 classes;
-    they are data, not assertions.
+    Walks the pairs inside each class of ``genus_classes(d)``, d <= d_max,
+    so the checks cross-check the classes.  Classes are the local-equivalence
+    classes with more than one member.  The chi-ratio notes record the
+    observed power-of-2 pattern for delta = 0 classes; they are data, not
+    assertions.
     """
-    equivalent = list(_equivalent_pairs(d_max))
+    equivalent = _equivalent_pairs(d_max)
     chi = {s: chi_closed(*s) for s in {s for pair in equivalent for s in pair}}
     violations: list[str] = []
     notes: list[str] = []
-    # a class's least member pairs with every other member before any of
-    # them pairs onward, so a first member never yet seen as b heads a class
-    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    members: set[tuple[int, int]] = set()
     for a, b in equivalent:
-        if a not in members:
-            classes.setdefault(a, [a]).append(b)
-            members.add(b)
         if (a[0] * a[1] - b[0] * b[1]) % 4:
             violations.append(f"{a}/{b}: dim X not equal mod 4")
         ca, cb = chi[a], chi[b]
@@ -143,7 +134,8 @@ def sweep_theorem_frank_dim(d_max: int) -> SweepReport:
         d_max=d_max,
         pair_count=math.comb(d_max, 3),  # sum of C(d - 1, 2) over d = 3..d_max
         equivalent_pairs=tuple(equivalent),
-        classes=tuple(tuple(cls) for cls in classes.values()),
+        classes=tuple(tuple(cls) for d in range(3, d_max + 1)
+                      for cls in genus_classes(d) if len(cls) > 1),
         violations=tuple(violations),
         chi_ratio_notes=tuple(notes),
     )
@@ -163,7 +155,7 @@ def sweep_euler_not_profinite(d_max: int) -> list[ChiMismatchPair]:
     Each entry shows chi is not determined by the profinite completion.
     Empty lists are a legitimate outcome for small d_max.
     """
-    equivalent = list(_equivalent_pairs(d_max))
+    equivalent = _equivalent_pairs(d_max)
     chi = {s: chi_closed(*s).value for s in {s for pair in equivalent for s in pair}}
     return [ChiMismatchPair(a, b, chi[a], chi[b]) for a, b in equivalent
             if chi[a] and chi[b] and chi[a] != chi[b]]

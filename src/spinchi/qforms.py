@@ -37,7 +37,7 @@ open; ``is_isotropic_rational`` never factors from dimension 5 on.
 
 The +-1 forms <1^m, (-1)^n> are odd unimodular Z-lattices, and their
 genus at the finite places is fixed by the rank d = m + n and n mod 4
-(``genus_first_failure``).
+(``genus_first_failure``); ``genus_classes`` lists the classes of rank d.
 """
 from __future__ import annotations
 
@@ -376,6 +376,12 @@ def genus_equal_finite_places(m: int, n: int, m2: int, n2: int) -> bool:
     The closed rule of ``genus_first_failure``: equal rank and n = n2 mod 4.
     """
     return genus_first_failure(m, n, m2, n2) is None
+
+
+def genus_classes(d: int) -> list[list[tuple[int, int]]]:
+    """Genus classes of the signatures (m, d - m), 1 <= m < d: at fixed d,
+    n = n2 mod 4 is m = m2 mod 4.  Least m first, in and across classes."""
+    return [[(m, d - m) for m in range(r, d, 4)] for r in range(1, min(d, 5))]
 
 
 def genus_first_failure(m: int, n: int, m2: int, n2: int) -> Optional[str]:

@@ -17,7 +17,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from spinchi import exactq
+from spinchi import exactq, oracles
+from spinchi.clifford import CoefficientRing
 from spinchi.exactq import (
     _TRIAL_BOUND,
     FactoredInteger,
@@ -551,3 +552,22 @@ def test_decimal_str_across_the_digit_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert len(got[big][0]) > 100_000
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: bernoulli(-1), ValueError),
+    (lambda: bernoulli_poly(-1, 0), ValueError),
+    (lambda: gen_bernoulli_mod4(0), ValueError),
+    (lambda: zeta_negative_odd(0), ValueError),
+    (lambda: zeta_even_exact(0), ValueError),
+    (lambda: l_psi_exact_odd(2), ValueError),
+    (lambda: gamma_half(0), ValueError),
+    (lambda: PiExact(1.5), TypeError),
+    (lambda: PiExact(1) ** 0.5, TypeError),
+    (lambda: PiExact(0).inverse(), ZeroDivisionError),
+    (lambda: oracles.squarefree_rep(0), ValueError),
+    (lambda: CoefficientRing().from_int(1), NotImplementedError),
+])
+def test_invalid_inputs_raise(call, error):
+    with pytest.raises(error):
+        call()

@@ -7,19 +7,21 @@ chi containing (5,5) and (1,9), are asserted explicitly.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from spinchi.euler import chi_closed
 from spinchi.profinite import (
+    _equivalent_pairs,
     ChiMismatchPair,
     CommensurabilityReport,
     profinitely_commensurable,
     sweep_euler_not_profinite,
     sweep_theorem_frank_dim,
 )
-from spinchi.qforms import genus_equal_finite_places
+from spinchi.qforms import genus_classes, genus_equal_finite_places, genus_first_failure
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +99,30 @@ def test_sweep_classes_agree_with_pairwise_criterion():
         for a in cls:
             for b in cls:
                 assert genus_equal_finite_places(*a, *b), (a, b)
+    # genus_classes partitions the rank-d signatures into the classes of
+    # the pairwise rule, each listed by increasing m
+    for d in range(2, 41):
+        classes = genus_classes(d)
+        members = [s for cls in classes for s in cls]
+        assert sorted(members) == [(m, d - m) for m in range(1, d)], d
+        assert all(cls == sorted(cls) for cls in classes), d
+        assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes), d
+        home = {s: i for i, cls in enumerate(classes) for s in cls}
+        for a in members:
+            for b in members:
+                assert (home[a] == home[b]) == (genus_first_failure(*a, *b) is None), (a, b)
+
+
+def test_equivalent_pairs_match_the_all_pairs_filter():
+    # referee: every pair of equal d, filtered by the pairwise rule, in
+    # the order of itertools.combinations
+    for d_max in range(3, 31):
+        referee = [(a, b) for d in range(3, d_max + 1)
+                   for a, b in itertools.combinations([(m, d - m) for m in range(1, d)], 2)
+                   if genus_first_failure(*a, *b) is None]
+        assert _equivalent_pairs(d_max) == referee, d_max
+    with pytest.raises(ValueError):
+        _equivalent_pairs(2)
 
 
 def test_sweep_ratio_notes_are_the_chi_ratios():

@@ -691,6 +691,16 @@ def test_fp_type_is_legendre_of_signed_disc():
                 assert fp_type(m, n, p) == legendre
 
 
+def test_rational_witt_index_of_pm_forms_is_min():
+    # <1, -1> is a hyperbolic plane and the rest is definite
+    for d in range(1, 41):
+        for m in range(d + 1):
+            form = DiagonalForm.pm(m, d - m)
+            assert witt_index_rational(form) == min(m, d - m), (m, d)
+            if d <= 8:
+                assert oracles.witt_index_rational_peel(form.entries) == min(m, d - m), (m, d)
+
+
 def test_genus_criterion_examples():
     assert genus_equal_finite_places(8, 2, 4, 6)
     assert genus_first_failure(8, 2, 4, 6) is None
