@@ -43,8 +43,11 @@ def _chi_record(m: int, n: int) -> dict:
         "chi_rational": exactq.decimal_str(res.value),
         "sign": res.sign,
         "case": res.case,
-        "l2": _l2_record(euler_mod.l2_profile(m, n)),
     }
+
+
+def _with_l2(rec: dict) -> dict:
+    return {**rec, "l2": _l2_record(euler_mod.l2_profile(rec["m"], rec["n"]))}
 
 
 def _emit(record: dict, pretty: bool) -> None:
@@ -55,7 +58,7 @@ def _cmd_chi(args) -> int:
     if args.factored:
         print(euler_mod.chi_closed(args.m, args.n).factored)
         return 0
-    _emit(_chi_record(args.m, args.n), args.pretty)
+    _emit(_with_l2(_chi_record(args.m, args.n)), args.pretty)
     return 0
 
 
@@ -111,7 +114,7 @@ def _cmd_table(args) -> int:
             print("  ".join(str(rec[f]).ljust(widths[f]) for f in _TABLE_FIELDS))
     else:
         for rec in records:
-            print(json.dumps(rec))
+            print(json.dumps(_with_l2(rec)))
     return 0
 
 

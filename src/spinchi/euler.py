@@ -29,10 +29,10 @@ product of local volumes: the normalized compact-dual volume, the
 2-adic congruence subgroup volume 2^(-d(d-1)), and the odd-prime Euler
 product expressed through zeta/L special values.  The pi powers must
 cancel exactly; a residual power raises ``ResidualPiPowerError`` and
-means a bug, not an input error.  ``adelic_assembly_float`` walks the
-actual Euler product over primes up to a bound in log space, one cached
-sum over the primes per degree of the finite group order (one odd-prime
-list per bound; each sum stops where no later term can change the float).
+means a bug, not an input error.  ``adelic_assembly_float`` shares the
+other local volumes and walks the actual odd-prime Euler product up to
+a bound in log space: one cached sum per degree of the group order,
+stopping where no later term can change the float.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ from .exactq import (
 )
 from .ggroups import (SpinGroupDescriptor, check_signature, order_degrees,
                       vol_compact_dual, weyl_ratio)
-from .qforms import fp_type_twisted, witt_index
+from .qforms import witt_index
 
 CASE_ZERO = "zero"      # m, n both odd
 CASE_0MOD4 = "0mod4"
@@ -150,21 +150,26 @@ def chi_closed(m: int, n: int) -> EulerResult:
 
 
 @lru_cache(maxsize=None)
-def _odd_euler_product_exact(d: int, twisted: bool) -> PiExact:
+def _odd_euler_product_exact(degrees: tuple[tuple[int, bool], ...]) -> PiExact:
     """prod over odd p of p^(dim G) / |G(F_p)|, via zeta/L special values.
 
-    One per (d, twisted), twisted = ``fp_type_twisted(m, n)`` for even d
-    and False for odd d.  Each degree e of ``ggroups.order_degrees`` gives
-    prod_p (1 - t_e(p) p^(-e))^(-1): L(psi, e) for the typed degree when
-    its type is (-1/p), and zeta(e) (1 - 2^(-e)) otherwise (e even then).
+    ``degrees`` is ``ggroups.order_degrees(m, n)[1]``, so there is one
+    entry per (d, type).  Each degree e gives prod_p (1 - t_e(p) p^(-e))^(-1):
+    L(psi, e) where twisted, and zeta(e) (1 - 2^(-e)) otherwise (e even then).
     """
     out = PiExact(Fraction(1), 0)
-    for e, typed in order_degrees(d)[1]:
-        if typed and twisted:
+    for e, twisted in degrees:
+        if twisted:
             out = out * l_psi_exact_odd(e)
         else:
             out = out * zeta_even_exact(e // 2) * (1 - Fraction(1, 2 ** e))
     return out
+
+
+def _local_volume_factor(desc: SpinGroupDescriptor) -> PiExact:
+    """2 C(l,k) * 2^(d(d-1)) / vol(compact dual): all but the odd-prime product."""
+    d = desc.d
+    return weyl_ratio(desc) * Fraction(2) ** (d * (d - 1)) / vol_compact_dual(d)
 
 
 def adelic_assembly_exact(m: int, n: int) -> Fraction:
@@ -177,12 +182,8 @@ def adelic_assembly_exact(m: int, n: int) -> Fraction:
     sign = chi_sign(m, n)
     if not sign:
         raise ValueError("chi = 0 for m, n both odd; no assembly defined")
-    d = desc.d
-    total = (_odd_euler_product_exact(d, d % 2 == 0 and fp_type_twisted(m, n))
-             * weyl_ratio(desc)
-             * Fraction(2) ** (d * (d - 1))
-             / vol_compact_dual(d))
-    return sign * total.as_rational()
+    odd = _odd_euler_product_exact(order_degrees(m, n)[1])
+    return sign * (odd * _local_volume_factor(desc)).as_rational()
 
 
 @lru_cache(maxsize=None)
@@ -211,24 +212,12 @@ def _degree_log_sum(e: int, twisted: bool, prime_bound: int) -> float:
     return total
 
 
-def _log_prime_sum(d: int, twisted: bool, prime_bound: int) -> float:
-    """sum over odd p <= bound of [dim G * log p - log |G(F_p)|].
-
-    dim G = d(d-1)/2 = a + sum e over the order's degrees, so this is the
-    sum of the cached per-degree sums.  ``twisted`` (even d only) says
-    whether the typed degree's sign is (-1/p) (``qforms.fp_type_twisted``).
-    """
-    _, degrees = order_degrees(d)
-    return sum(_degree_log_sum(e, typed and twisted, prime_bound)
-               for e, typed in degrees)
-
-
 def adelic_assembly_float(m: int, n: int, prime_bound: int = 10 ** 5) -> float:
     """Floating-point chi from the genuine Euler product over odd p <= B.
 
-    Independent of the zeta/L special values: the odd local factor
-    p^dim G / |Spin(F_p)| comes from the order formula
-    p^a prod_e (p^e - t_e(p)) of ``ggroups.order_degrees``.  The primes
+    Only the odd-prime product differs from the exact assembly: it takes
+    p^dim G / |Spin(F_p)| from the order formula p^a prod_e (p^e - t_e(p))
+    of ``ggroups.order_degrees``, not from zeta/L values.  The primes
     p > B = prime_bound change log|chi| by at most
     sum_e 1.01 / ((e-1) B^(e-1)) over those degrees e, which is below
     2.03 / B for every d (2.03e-5 at the default bound); the relative
@@ -241,15 +230,11 @@ def adelic_assembly_float(m: int, n: int, prime_bound: int = 10 ** 5) -> float:
     sign = chi_sign(m, n)
     if not sign:
         return 0.0
-    d = desc.d
-    dual = vol_compact_dual(d)
-    log_dual = (math.log(dual.coeff.numerator) - math.log(dual.coeff.denominator)
-                + dual.half_pi_power / 2 * math.log(math.pi))
-    twisted = d % 2 == 0 and fp_type_twisted(m, n)
-    log_abs = (math.log(2 * math.comb(desc.l, desc.k))
-               + d * (d - 1) * math.log(2.0)
-               - log_dual
-               + _log_prime_sum(d, twisted, prime_bound))
+    factor = _local_volume_factor(desc)
+    log_abs = (math.log(factor.coeff.numerator) - math.log(factor.coeff.denominator)
+               + factor.half_pi_power / 2 * math.log(math.pi)
+               + sum(_degree_log_sum(e, twisted, prime_bound)
+                     for e, twisted in order_degrees(m, n)[1]))
     return sign * math.exp(log_abs)
 
 

@@ -8,8 +8,8 @@ cokernel of equal size, so |Spin(F_p)| = |SO(F_p)|):
   d = 2l:      p^(l(l-1)) * (p^l - t) * prod_{j=1}^{l-1} (p^(2j) - 1)
 
 with t = +1 for plus type and t = -1 for minus type (``qforms.fp_type``).
-``order_degrees`` holds this degree list, which both Euler products in
-``euler`` read too.
+``order_degrees(m, n)`` holds this degree list with the type resolved,
+and ``spin_order_fp`` and both Euler products in ``euler`` read it.
 
 ``oracles.so_order_bruteforce`` checks these formulas by enumeration.
 """
@@ -96,28 +96,26 @@ def weyl_ratio(desc: SpinGroupDescriptor) -> Fraction:
     return Fraction(2 * math.comb(desc.l, desc.k))
 
 
-def order_degrees(d: int) -> tuple[int, tuple[tuple[int, bool], ...]]:
-    """(a, ((e, typed), ...)) with |Spin(F_p)| = p^a prod_e (p^e - t_e(p)).
+def order_degrees(m: int, n: int) -> tuple[int, tuple[tuple[int, bool], ...]]:
+    """(a, ((e, twisted), ...)) with |Spin(F_p)| = p^a prod_e (p^e - t_e(p)).
 
-    t_e(p) = fp_type(m, n, p) for the typed degree (e = l, d = 2l even)
-    and 1 for every other degree.  a + sum e = dim G = d(d-1)/2.
+    t_e(p) = (-1/p) where twisted, else 1: only the typed degree e = l of
+    even d = 2l, when ``fp_type_twisted(m, n)``.  a + sum e = d(d-1)/2.
     """
-    l = d // 2
-    if d % 2:
+    l, odd = divmod(m + n, 2)
+    if odd:
         return l * l, tuple((2 * j, False) for j in range(1, l + 1))
-    return l * (l - 1), (*((2 * j, False) for j in range(1, l)), (l, True))
+    return l * (l - 1), (*((2 * j, False) for j in range(1, l)),
+                         (l, fp_type_twisted(m, n)))
 
 
 def spin_order_fp(desc: SpinGroupDescriptor, p: int) -> int:
     """|Spin(m, n)(F_p)| for an odd prime p."""
     if p == 2 or not is_prime(p):
         raise ValueError("need an odd prime")
-    a, degrees = order_degrees(desc.d)
-    twisted = desc.d % 2 == 0 and fp_type_twisted(desc.m, desc.n)
-    order = p ** a
-    for e, typed in degrees:  # t = fp_type(m, n, p) for the typed degree
-        order *= p ** e - (-1 if typed and twisted and p % 4 == 3 else 1)
-    return order
+    a, degrees = order_degrees(desc.m, desc.n)  # t = (-1/p) where twisted
+    return p ** a * math.prod(p ** e - (-1 if twisted and p % 4 == 3 else 1)
+                              for e, twisted in degrees)
 
 
 @lru_cache(maxsize=None)

@@ -132,9 +132,7 @@ def _isotropic_pairwise(dim: int, disc: int, hasse: int, prime: int) -> bool:
                     and hasse == -hilbert_closed(-1, -1, prime))
     if dim == 3:
         return hasse == hilbert_closed(-1, -disc, prime)
-    if dim == 2:
-        return _is_local_square(-disc, prime)
-    return False
+    return _is_local_square(-disc, prime)  # dim == 2: callers pass dim >= 2
 
 
 def _disc_rep(entries: Sequence) -> int:

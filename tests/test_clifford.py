@@ -455,6 +455,10 @@ def test_spin_test_agrees_with_conjugate_referee():
     assert verdicts == [oracles.is_spin_element_conjugates(g) for g in cases]
     assert True in verdicts and False in verdicts
     assert not any(is_spin_element(g) for g in norm_only)
+    odd = CliffordElement.generator(Signature(3, 1), ZZ, 1)
+    for spin_test in (is_spin_element, oracles.is_spin_element_conjugates):
+        with pytest.raises(ValueError):
+            spin_test(odd)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from spinchi import euler
+from spinchi import euler, ggroups
 from spinchi.euler import (
-    _log_prime_sum,
     CASE_0MOD4,
     CASE_2MOD4,
     CASE_ODD,
@@ -32,6 +31,7 @@ from spinchi.euler import (
     s_arithmetic_sign,
 )
 from spinchi.exactq import (
+    ResidualPiPowerError,
     euler_number,
     format_factored,
     is_prime,
@@ -39,7 +39,6 @@ from spinchi.exactq import (
     zeta_negative_odd,
 )
 from spinchi.ggroups import SpinGroupDescriptor, order_degrees, spin_order_fp
-from spinchi.qforms import fp_type_twisted
 
 
 def _odd_product(l: int) -> Fraction:
@@ -219,7 +218,7 @@ def test_adelic_assembly_float_edge_cases():
 
 
 def _tail_bound(d: int, bound: int) -> float:
-    _, degrees = order_degrees(d)
+    _, degrees = order_degrees(d - 1, 1)
     return sum(1.01 / ((e - 1) * bound ** (e - 1)) for e, _ in degrees)
 
 
@@ -249,10 +248,10 @@ def test_log_prime_sum_matches_spin_order_fp():
         # for even d, n = 1 and n = 2 give the two types
         for n in ((1,) if d % 2 else (1, 2)):
             desc = SpinGroupDescriptor(d - n, n)
-            twisted = d % 2 == 0 and fp_type_twisted(desc.m, desc.n)
             want = math.fsum(dim_g * math.log(p) - math.log(spin_order_fp(desc, p))
                              for p in primes)
-            got = _log_prime_sum(d, twisted, bound)
+            got = sum(euler._degree_log_sum(e, twisted, bound)
+                      for e, twisted in order_degrees(desc.m, desc.n)[1])
             assert abs(got - want) <= 1e-9 * abs(want), (desc, got, want)
 
 
@@ -275,9 +274,38 @@ def test_odd_euler_product_cached_per_dimension_and_type():
             n = d - m
             if m % 2 and n % 2:
                 continue
-            twisted = d % 2 == 0 and fp_type_twisted(m, n)
-            fresh = euler._odd_euler_product_exact.__wrapped__(d, twisted)
-            assert euler._odd_euler_product_exact(d, twisted) == fresh, (m, n)
+            degrees = order_degrees(m, n)[1]
+            fresh = euler._odd_euler_product_exact.__wrapped__(degrees)
+            assert euler._odd_euler_product_exact(degrees) == fresh, (m, n)
+
+
+def test_only_an_odd_typed_degree_is_twisted():
+    # _odd_euler_product_exact reads zeta(e) at e // 2 for every untwisted
+    # degree and L(psi, e) for a twisted one.  Even d with chi != 0 forces
+    # m, n even, so twisted <=> n + l odd <=> l odd.
+    for d in range(3, 41):
+        for m in range(1, d):
+            n = d - m
+            if m % 2 and n % 2:
+                continue
+            for e, twisted in order_degrees(m, n)[1]:
+                assert twisted == (e % 2 == 1), (m, n, e)
+
+
+def test_fp_type_is_read_from_order_degrees_alone(monkeypatch):
+    # Flipping the type in ggroups must reach spin_order_fp and both
+    # assemblies: none of them may decide the twist on its own.
+    desc = SpinGroupDescriptor(8, 2)
+    before = spin_order_fp(desc, 3)
+    chi = chi_closed(8, 2).value
+    resolved = ggroups.fp_type_twisted
+    monkeypatch.setattr(ggroups, "fp_type_twisted", lambda m, n: not resolved(m, n))
+    assert spin_order_fp(desc, 3) != before
+    assert abs(adelic_assembly_float(8, 2) - chi) > 1e-3 * abs(chi)
+    try:
+        assert adelic_assembly_exact(8, 2) != chi
+    except ResidualPiPowerError:
+        pass
 
 
 def test_chi_closed_builds_one_descriptor(monkeypatch):

@@ -479,6 +479,10 @@ def _check_random_forms_against_referee(rng: random.Random, count: int,
 
 def test_local_invariants_match_pairwise_referee_on_random_forms():
     _check_random_forms_against_referee(random.Random(20261018), 2000, (1, 6))
+    # <1> and <1^5> share disc and Hasse at every p: only the dimension differs
+    f, g = DiagonalForm.parse("1"), DiagonalForm.parse("1,1,1,1,1")
+    _assert_matches_referee(f, g, (None, 2, 3, 5))
+    assert not any(qp_equivalent(f, g, v) for v in (None, 2, 3, 5))
 
 
 def test_local_invariants_match_pairwise_referee_in_dimensions_7_to_12():
