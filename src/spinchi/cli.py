@@ -20,22 +20,22 @@ from . import euler as euler_mod
 from .exactq import ResidualPiPowerError
 
 
-def _l2_record(prof: euler_mod.L2Profile) -> dict:
+def _l2_record(prof: euler_mod.L2Profile, betti_value: str) -> dict:
+    """The "l2" object; ``betti_value`` is prof.betti_value in decimal."""
     return {
         "betti_degree": prof.betti_degree,
-        "betti_value": exactq.decimal_str(prof.betti_value),
+        "betti_value": betti_value,
         "ns_range": list(prof.ns_range) if prof.ns_range else None,
         "ns_value": prof.ns_value if prof.ns_value is not None else "inf+",
         "torsion_sign": prof.torsion_sign,
     }
 
 
-def _chi_record(m: int, n: int) -> dict:
-    res = euler_mod.chi_closed(m, n)
+def _chi_record(res: euler_mod.EulerResult) -> dict:
     desc = res.descriptor
     return {
-        "m": m,
-        "n": n,
+        "m": desc.m,
+        "n": desc.n,
         "d": desc.d,
         "dimX": desc.dim_x,
         "delta": desc.delta,
@@ -46,8 +46,9 @@ def _chi_record(m: int, n: int) -> dict:
     }
 
 
-def _with_l2(rec: dict) -> dict:
-    return {**rec, "l2": _l2_record(euler_mod.l2_profile(rec["m"], rec["n"]))}
+def _with_l2(rec: dict, res: euler_mod.EulerResult) -> dict:
+    # the Betti value |chi| is the row's chi_rational without its sign
+    return {**rec, "l2": _l2_record(euler_mod.L2Profile.of(res), rec["chi_rational"].lstrip("-"))}
 
 
 def _emit(record: dict, pretty: bool) -> None:
@@ -58,7 +59,8 @@ def _cmd_chi(args) -> int:
     if args.factored:
         print(euler_mod.chi_closed(args.m, args.n).factored)
         return 0
-    _emit(_with_l2(_chi_record(args.m, args.n)), args.pretty)
+    res = euler_mod.chi_closed(args.m, args.n)
+    _emit(_with_l2(_chi_record(res), res), args.pretty)
     return 0
 
 
@@ -71,7 +73,8 @@ def _cmd_sign(args) -> int:
 def _cmd_profile(args) -> int:
     prof = euler_mod.l2_profile(args.m, args.n)
     _emit({"m": args.m, "n": args.n, "dimX": prof.descriptor.dim_x,
-           "delta": prof.delta, "l2": _l2_record(prof)}, args.pretty)
+           "delta": prof.delta,
+           "l2": _l2_record(prof, exactq.decimal_str(prof.betti_value))}, args.pretty)
     return 0
 
 
@@ -100,8 +103,9 @@ _TABLE_FIELDS = ("m", "n", "d", "dimX", "delta", "chi",
 def _cmd_table(args) -> int:
     if args.d_max < 3:
         raise ValueError("need --d-max >= 3")
-    records = [_chi_record(m, d - m)
+    results = [euler_mod.chi_closed(m, d - m)
                for d in range(3, args.d_max + 1) for m in range(1, d)]
+    records = [_chi_record(res) for res in results]
     if args.csv:
         print(",".join(_TABLE_FIELDS))
         for rec in records:
@@ -113,8 +117,8 @@ def _cmd_table(args) -> int:
         for rec in records:
             print("  ".join(str(rec[f]).ljust(widths[f]) for f in _TABLE_FIELDS))
     else:
-        for rec in records:
-            print(json.dumps(_with_l2(rec)))
+        for rec, res in zip(records, results):
+            print(json.dumps(_with_l2(rec, res)))
     return 0
 
 

@@ -23,16 +23,20 @@ computes x y as the reversal of rev(y) rev(x).  y becomes two
 non-negative ints P and Q, one slot of w bits per blade, holding the
 positive and the negative parts of its coefficients; w is the bit length
 of |supp y| * max|x| * max|y|, plus one, rounded up to whole bytes, so
-no slot of a sum below ever carries into the next.  The walk visits the
-left blades J in Gray-code order, keeping (P, Q) = e(J) y: a step to
-J xor e_k is left multiplication by e_k, which swaps the slots L with
-e_k e(L) = -e(L xor e_k) between P and Q (one character mask), moves
-slot L to L xor e_k (a mask, two shifts, an or), and swaps P and Q when
-e(J xor e_k) = -e_k e(J); both signs are parities of sign_mask(e_k) & L
-and & J.  Each left coefficient c adds c P and c Q (or c Q and c P for
-c < 0) to two accumulators; their difference plus 2^(w-1) in each slot
-is unpacked once.  The masks depend only on d, m and w and are built on
-first use and cached.
+no slot of a sum below ever carries into the next (every slot is a
+sub-sum of the same terms).  Each left blade J splits at h = d // 2 into
+its low part L and high part H, and e(J) = e(L) e(H).  Giant steps walk
+the high parts of x in Gray-code order, keeping (P, Q) = e(H) y: a step
+to H xor e_k is left multiplication by e_k, which swaps the slots K with
+e_k e(K) = -e(K xor e_k) between P and Q (one character mask) and moves
+slot K to K xor e_k (a mask, two shifts, an or), then swaps P and Q when
+e(H xor e_k) = -e_k e(H); both signs are parities of sign_mask(e_k) & K
+and & H.  Baby sums add c P and c Q (c Q and c P for c < 0) to the
+accumulator pair A_L for each coefficient c of x on L | H.  A Horner
+fold adds e_k A_(L | e_k) to A_L for k = h - 1 down to 0, leaving x y in
+A_0 after at most 2^(d-h) + 2^h moves, not one per left blade; its
+difference plus 2^(w-1) in each slot is unpacked once.  The masks depend
+only on d, m and w and are built on first use and cached.
 
 The 2-adic exponential and logarithm check their input up front (4 times
 the integral Lie algebra for exp, 1 + 4*C_0 for log, else
@@ -142,19 +146,33 @@ def _slot_masks(d: int, m: int, width: int) -> tuple[tuple[tuple[int, int, int, 
     Per generator bit k: ``sign_mask(e_k, m)``, the slots L with
     e_k e(L) = -e(L xor e_k), the slots with bit k set, and the shift of
     2^k slots in bits; then the bias, 2^(8 width - 1) in every slot.
+    Flips over 2^(i+1) slots repeat those over 2^i, complemented when
+    bit i of the sign mask is set.
     """
     ones, zeros = b"\xff" * width, bytes(width)
+    complement = bytes.maketrans(b"\x00\xff", b"\xff\x00")
     steps = []
     for k in range(d):
         bit = 1 << k
         s = sign_mask(bit, m)
-        flip = b"".join(ones if (s & blade).bit_count() & 1 else zeros
-                        for blade in range(1 << d))
+        flip = zeros
+        for i in range(d):
+            flip += flip.translate(complement) if s >> i & 1 else flip
         high = (zeros * bit + ones * bit) * (1 << (d - k - 1))
         steps.append((s, int.from_bytes(flip, "little"), int.from_bytes(high, "little"),
                       (8 * width) << k))
     bias = (bytes(width - 1) + b"\x80") * (1 << d)
     return tuple(steps), int.from_bytes(bias, "little")
+
+
+def _left_mul(p: int, q: int, step: tuple[int, int, int, int]) -> tuple[int, int]:
+    """e_k (P - Q) for the masks ``step`` of generator k: swap the flipped
+    slots between P and Q, then move each slot L to L xor e_k."""
+    _, flip, high, shift = step
+    t = (p ^ q) & flip
+    p, q = p ^ t, q ^ t
+    hp, hq = p & high, q & high
+    return hp >> shift | (p ^ hp) << shift, hq >> shift | (q ^ hq) << shift
 
 
 def _packed_product(x: dict[Blade, int], y: dict[Blade, int], sig: Signature) -> dict[Blade, int]:
@@ -163,40 +181,38 @@ def _packed_product(x: dict[Blade, int], y: dict[Blade, int], sig: Signature) ->
     reverse = len(x) > len(y)
     if reverse:
         x, y = ({b: -c if b.bit_count() & 2 else c for b, c in z.items()} for z in (y, x))
-    d, m, n = sig.d, sig.m, 1 << sig.d
+    d, m, n, h = sig.d, sig.m, 1 << sig.d, sig.d // 2
     bound = len(y) * max(map(abs, x.values())) * max(map(abs, y.values()))
     width = (bound.bit_length() + 8) // 8
     steps, bias = _slot_masks(d, m, width)
     halves = bytearray(n * width), bytearray(n * width)
     for b, c in y.items():
         halves[c < 0][b * width:(b + 1) * width] = abs(c).to_bytes(width, "little")
-    p, q = (int.from_bytes(h, "little") for h in halves)
-    acc_p = acc_q = 0
+    p, q = (int.from_bytes(half, "little") for half in halves)
+    low = (1 << h) - 1
+    by_high: dict[Blade, list] = {}
+    for b, c in x.items():
+        by_high.setdefault(b & ~low, []).append((b & low, c))
+    acc = [(0, 0)] * (1 << h)
     j = 0
-    for b1 in sorted(x, key=_gray_rank):
-        diff = j ^ b1
+    for high in sorted(by_high, key=_gray_rank):
+        diff = j ^ high
         while diff:
-            low = diff & -diff
-            diff ^= low
-            s, flip, high, shift = steps[low.bit_length() - 1]
-            t = (p ^ q) & flip
-            p ^= t
-            q ^= t
-            h = p & high
-            p = h >> shift | (p ^ h) << shift
-            h = q & high
-            q = h >> shift | (q ^ h) << shift
-            if (s & j).bit_count() & 1:
+            bit = diff & -diff
+            diff ^= bit
+            step = steps[bit.bit_length() - 1]
+            p, q = _left_mul(p, q, step)
+            if (step[0] & j).bit_count() & 1:
                 p, q = q, p
-            j ^= low
-        c = x[b1]
-        if c > 0:
-            acc_p += c * p
-            acc_q += c * q
-        else:
-            acc_p -= c * q
-            acc_q -= c * p
-    raw = (acc_p + bias - acc_q).to_bytes(n * width, "little")
+            j ^= bit
+        for lo, c in by_high[high]:
+            a_p, a_q = acc[lo]
+            acc[lo] = (a_p + c * p, a_q + c * q) if c > 0 else (a_p - c * q, a_q - c * p)
+    for k in reversed(range(h)):
+        for lo in range(1 << k):
+            up_p, up_q = _left_mul(*acc[lo | 1 << k], steps[k])
+            acc[lo] = acc[lo][0] + up_p, acc[lo][1] + up_q
+    raw = (acc[0][0] + bias - acc[0][1]).to_bytes(n * width, "little")
     half = 1 << (8 * width - 1)
     out = {}
     for blade in range(n):
@@ -502,25 +518,29 @@ def is_spin_element(g: CliffordElement) -> bool:
     odd blades.  Then v_i lies in the span of the generators iff
     g e_i = w_i g, or conjugated, e_i gbar = gbar w_i = sum_j w_ij gbar e_j:
     if v_i = w_i then w_i g = g e_i gbar g = g e_i, and if g e_i = w_i g
-    then v_i = w_i g gbar = w_i.  Beyond g gbar only products of gbar with
-    single generators are formed.
+    then v_i = w_i g gbar = w_i.  Beyond g gbar no product is formed:
+    e_i e(K) = +-e(K xor e_i) by ``sign_mask(e_i)``, so e_i gbar is a signed
+    permutation of gbar's coefficients, and as gbar is even, e(K) e_i is
+    e_i e(K) negated when e_i is in K.
 
     Raises ValueError on odd-blade support (not even a candidate).
     """
     if not g.is_even():
         raise ValueError("spin elements live in the even subalgebra")
-    sig, ring, zero = g.sig, g.ring, g.ring.zero
+    sig, ring, zero, canon = g.sig, g.ring, g.ring.zero, g.ring.from_int
     gbar = g.conjugate()
     if g * gbar != CliffordElement.one(sig, ring):
         return False
-    gens = [CliffordElement.generator(sig, ring, i) for i in range(1, sig.d + 1)]
     odd = [b for b in range(1 << sig.d) if b.bit_count() & 1]
-    left = [[h.get(b, zero) for b in odd] for h in ((e * gbar).coeffs for e in gens)]
-    right = [[h.get(b, zero) for b in odd] for h in ((gbar * e).coeffs for e in gens)]
+    left, right = [], []
+    for k in range(sig.d):
+        bit, s = 1 << k, sign_mask(1 << k, sig.m)
+        row = [(b, gbar.coeffs.get(b ^ bit, zero), (s & (b ^ bit)).bit_count() & 1) for b in odd]
+        left.append([canon(-c) if neg else c for _, c, neg in row])
+        right.append([-c if neg == b >> k & 1 else c for b, c, neg in row])
     weighted = [[-c if (b >> sig.m).bit_count() & 1 else c for b, c in zip(odd, r)]
                 for r in right]
     columns = list(zip(*right))
-    canon = ring.from_int
     for u in left:
         w = [sum(map(mul, u, r), zero) * (1 if j < sig.m else -1)
              for j, r in enumerate(weighted)]

@@ -261,30 +261,34 @@ class L2Profile:
     ns_value: Optional[int]
     torsion_sign: int
 
+    @classmethod
+    def of(cls, res: EulerResult) -> "L2Profile":
+        """The profile of the group whose chi is ``res``."""
+        desc = res.descriptor
+        delta, dim_x = desc.delta, desc.dim_x
+        if delta == 0:
+            return cls(
+                descriptor=desc,
+                delta=0,
+                betti_degree=dim_x // 2,
+                betti_value=abs(res.value),
+                ns_range=None,
+                ns_value=None,
+                torsion_sign=0,
+            )
+        return cls(
+            descriptor=desc,
+            delta=1,
+            betti_degree=None,
+            betti_value=0,
+            ns_range=((dim_x - delta) // 2, (dim_x + delta) // 2 - 1),
+            ns_value=delta,
+            torsion_sign=-1 if ((dim_x - 1) // 2) % 2 else 1,
+        )
+
 
 def l2_profile(m: int, n: int) -> L2Profile:
-    desc = SpinGroupDescriptor(m, n)
-    delta = desc.delta
-    dim_x = desc.dim_x
-    if delta == 0:
-        return L2Profile(
-            descriptor=desc,
-            delta=0,
-            betti_degree=dim_x // 2,
-            betti_value=abs(chi_closed(m, n).value),
-            ns_range=None,
-            ns_value=None,
-            torsion_sign=0,
-        )
-    return L2Profile(
-        descriptor=desc,
-        delta=1,
-        betti_degree=None,
-        betti_value=0,
-        ns_range=((dim_x - delta) // 2, (dim_x + delta) // 2 - 1),
-        ns_value=delta,
-        torsion_sign=-1 if ((dim_x - 1) // 2) % 2 else 1,
-    )
+    return L2Profile.of(chi_closed(m, n))
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,31 @@ def test_table_json_lines(capsys):
         assert record["d"] in (3, 4)
 
 
+def test_table_json_computes_chi_once_per_row(capsys, monkeypatch):
+    # the l2 object reuses the row's EulerResult and chi_rational string:
+    # one chi_closed and one decimal_str per row, and betti_value is |chi|
+    calls = {"chi_closed": 0, "decimal_str": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(euler, "chi_closed")
+    counted(exactq, "decimal_str")
+    code, out, _ = run(capsys, "table", "--d-max", "12")
+    lines = out.strip().splitlines()
+    assert code == 0 and len(lines) == sum(d - 1 for d in range(3, 13))
+    assert calls == {"chi_closed": len(lines), "decimal_str": len(lines)}
+    for line in lines:
+        record = json.loads(line)
+        assert record["l2"]["betti_value"] == record["chi_rational"].lstrip("-")
+        assert record["l2"]["betti_degree"] == (record["dimX"] // 2 if record["delta"] == 0 else None)
+
+
 def test_witt_command(capsys):
     code, out, _ = run(capsys, "witt", "b(4,1)", "2")
     assert code == 0

@@ -358,6 +358,51 @@ def test_packed_kernel_matches_sign_mask_loop(monkeypatch):
         assert packed == x * y, (x.ring, x.sig)
 
 
+def test_two_level_packed_product_matches_sign_mask_loop(monkeypatch):
+    # the walk splits each left blade at h = d // 2 (h = 0 at d = 1): x with
+    # one term, x on the low blades only (one giant step), x on the high
+    # blades only (one baby sum per step), and dense x; both operand
+    # orders, so the reversed path walks the other operand
+    rng = random.Random(8082)
+    big = 1 << 70
+    monkeypatch.setattr(clifford, "PACKED_MIN_TERMS", float("inf"))
+    for d in range(1, 11):
+        low = (1 << (d // 2)) - 1
+        blades = range(1 << d)
+        shapes = ([rng.randrange(1 << d)], [b for b in blades if not b & ~low],
+                  [b for b in blades if not b & low], blades)
+        for m, (ring, span) in itertools.product((0, d), ((ZZ, big), (ModularRing(1 << 11), 1 << 11),
+                                                          (PrimeField(5), 5))):
+            sig = Signature(m, d - m)
+            def coeffs(support):  # nonzero in the ring, of either sign
+                return {b: rng.choice((-1, 1)) * rng.randrange(1, span) for b in support}
+            y = CliffordElement(sig, ring, coeffs(blades))
+            for support in shapes:
+                x = CliffordElement(sig, ring, coeffs(support))
+                for a, b in ((x, y), (y, x)):
+                    packed = clifford._packed_product(a.coeffs, b.coeffs, sig)
+                    assert CliffordElement(sig, ring, packed) == a * b, (ring, sig, len(x.coeffs))
+
+
+def test_slot_masks_match_per_blade_parities():
+    # the flip mask built by doubling against its definition: slot L flips
+    # under e_k iff sign_mask(e_k, m) & L has odd parity
+    for d in range(1, 11):
+        for m in range(d + 1):
+            for width in (1, 2, 5):
+                steps, bias = clifford._slot_masks.__wrapped__(d, m, width)
+                assert bias == int.from_bytes((bytes(width - 1) + b"\x80") * (1 << d), "little")
+                for k, (s, flip, high, shift) in enumerate(steps):
+                    assert s == sign_mask(1 << k, m)
+                    want = b"".join(b"\xff" * width if (s & blade).bit_count() & 1 else bytes(width)
+                                    for blade in range(1 << d))
+                    assert flip == int.from_bytes(want, "little"), (d, m, width, k)
+                    slots = (b"\xff" * width if blade >> k & 1 else bytes(width)
+                             for blade in range(1 << d))
+                    assert high == int.from_bytes(b"".join(slots), "little")
+                    assert shift == 8 * width << k
+
+
 def test_element_basics():
     sig = Signature(2, 1)
     x = CliffordElement(sig, ZZ, {0: -1, 0b11: 3})
@@ -459,6 +504,27 @@ def test_spin_test_agrees_with_conjugate_referee():
     for spin_test in (is_spin_element, oracles.is_spin_element_conjugates):
         with pytest.raises(ValueError):
             spin_test(odd)
+
+
+def test_spin_test_on_exp_output_and_perturbed_copies_over_z_mod_256():
+    # e_i gbar and gbar e_i are signed permutations of gbar: on exp outputs
+    # over Z/2^8, and on copies perturbed by 64 e(J) with |J| = 6, which keep
+    # g gbar = 1 but give g e_i gbar a grade-5 part, by 128 e(J) with
+    # |J| = 2, which stay in Spin, and by a unit on a grade-4 blade
+    rng = random.Random(4097)
+    checked_conjugates = False
+    for sig in (Signature(6, 0), Signature(0, 6), Signature(3, 4), Signature(8, 0), Signature(0, 8)):
+        g = clifford_exp(_random_lie_multiple_of_4(rng, sig, 8), 8)
+        grade = {c: [b for b in range(1 << sig.d) if b.bit_count() == c] for c in (2, 4, 6)}
+        copies = [g + CliffordElement.blade(sig, g.ring, rng.choice(grade[6]), 64),
+                  g + CliffordElement.blade(sig, g.ring, rng.choice(grade[2]), 128),
+                  g + CliffordElement.blade(sig, g.ring, rng.choice(grade[4]), 2 * rng.randrange(128) + 1)]
+        verdicts = [is_spin_element(h) for h in [g] + copies]
+        assert verdicts == [oracles.is_spin_element_conjugates(h) for h in [g] + copies], sig
+        assert verdicts[:3] == [True, False, True], sig
+        norm_one = copies[0] * copies[0].conjugate() == CliffordElement.one(sig, g.ring)
+        checked_conjugates |= norm_one
+    assert checked_conjugates
 
 
 # ---------------------------------------------------------------------------
