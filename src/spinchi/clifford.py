@@ -48,13 +48,12 @@ division can cost, so the result reduced mod 2^bits is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Any, Iterable
 
-from .exactq import is_prime
+from .exactq import Value, is_prime
 
 Blade = int
 
@@ -68,18 +67,17 @@ class TwoAdicIntegralityError(ArithmeticError):
     """A 2-adically non-integral coefficient where an integer was required."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """Diagonal form of signature (m, n): e_i^2 = +1 for i <= m, else -1."""
 
-    m: int
-    n: int
+    __slots__ = _fields = ("m", "n")
 
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0 or self.d < 1:
+    def __init__(self, m: int, n: int) -> None:
+        if m < 0 or n < 0 or m + n < 1:
             raise ValueError("need m, n >= 0 with m + n >= 1")
-        if self.d > 63:
+        if m + n > 63:
             raise ValueError("at most 63 generators supported")
+        super().__init__(m, n)
 
     @property
     def d(self) -> int:

@@ -37,7 +37,6 @@ stopping where no later term can change the float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
@@ -45,6 +44,7 @@ from typing import Iterable, Optional
 from .exactq import (
     FactoredInteger,
     PiExact,
+    Value,
     l_psi_exact_odd,
     primes_up_to,
     zeta_even_exact,
@@ -93,13 +93,15 @@ class _DimensionPart:
 _dimension_part = lru_cache(maxsize=None)(_DimensionPart)
 
 
-@dataclass(frozen=True)
-class EulerResult:
+class EulerResult(Value):
     """The ledger chi = lead * D(d): only lead = sign * C(l, k) depends on m."""
 
-    descriptor: SpinGroupDescriptor
-    sign: int
-    lead: int
+    __slots__ = _fields = ("descriptor", "sign", "lead")
+
+    def __init__(self, descriptor: SpinGroupDescriptor, sign: int, lead: int) -> None:
+        object.__setattr__(self, "descriptor", descriptor)  # hot: one per chi_closed
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "lead", lead)
 
     @property
     def dimension(self) -> _DimensionPart:
@@ -242,8 +244,7 @@ def adelic_assembly_float(m: int, n: int, prime_bound: int = 10 ** 5) -> float:
 # L2 profile
 
 
-@dataclass(frozen=True)
-class L2Profile:
+class L2Profile(Value):
     """Distilled L2-invariants of the congruence subgroup.
 
     Exactly one of two shapes: delta = 0 gives a single nonzero L2-Betti
@@ -253,6 +254,8 @@ class L2Profile:
     (-1)^((mn-1)/2) for the L2-torsion.
     """
 
+    __slots__ = _fields = ("descriptor", "delta", "betti_degree", "betti_value",
+                           "ns_range", "ns_value", "torsion_sign")
     descriptor: SpinGroupDescriptor
     delta: int
     betti_degree: Optional[int]
@@ -267,24 +270,9 @@ class L2Profile:
         desc = res.descriptor
         delta, dim_x = desc.delta, desc.dim_x
         if delta == 0:
-            return cls(
-                descriptor=desc,
-                delta=0,
-                betti_degree=dim_x // 2,
-                betti_value=abs(res.value),
-                ns_range=None,
-                ns_value=None,
-                torsion_sign=0,
-            )
-        return cls(
-            descriptor=desc,
-            delta=1,
-            betti_degree=None,
-            betti_value=0,
-            ns_range=((dim_x - delta) // 2, (dim_x + delta) // 2 - 1),
-            ns_value=delta,
-            torsion_sign=-1 if ((dim_x - 1) // 2) % 2 else 1,
-        )
+            return cls(desc, 0, dim_x // 2, abs(res.value), None, None, 0)
+        return cls(desc, 1, None, 0, ((dim_x - delta) // 2, (dim_x + delta) // 2 - 1),
+                   delta, -1 if ((dim_x - 1) // 2) % 2 else 1)
 
 
 def l2_profile(m: int, n: int) -> L2Profile:
@@ -310,8 +298,9 @@ def rho_product(chi: Fraction | int, rho: Fraction | int) -> Fraction:
     return Fraction(chi) * Fraction(rho)
 
 
-@dataclass(frozen=True)
-class SArithmeticSign:
+class SArithmeticSign(Value):
+    __slots__ = _fields = ("descriptor", "primes", "witt_by_place", "rank_s",
+                           "rank_rational", "sign", "ep_vanishes")
     descriptor: SpinGroupDescriptor
     primes: tuple[int, ...]
     witt_by_place: dict

@@ -16,11 +16,10 @@ and ``spin_order_fp`` and both Euler products in ``euler`` read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactq import PiExact, gamma_half, is_prime
+from .exactq import PiExact, Value, gamma_half, is_prime
 from .qforms import DiagonalForm, fp_type_twisted
 
 
@@ -32,15 +31,15 @@ def check_signature(m: int, n: int) -> None:
         raise ValueError("need m + n >= 3")
 
 
-@dataclass(frozen=True)
-class SpinGroupDescriptor:
+class SpinGroupDescriptor(Value):
     """Spin(m, n) with m, n >= 1 and d = m + n >= 3."""
 
-    m: int
-    n: int
+    __slots__ = _fields = ("m", "n")
 
-    def __post_init__(self) -> None:
-        check_signature(self.m, self.n)
+    def __init__(self, m: int, n: int) -> None:
+        check_signature(m, n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @property
     def d(self) -> int:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .euler import EulerResult, chi_closed
 from .ggroups import SpinGroupDescriptor
-from .qforms import genus_classes, genus_first_failure
+from .qforms import PM_RANK_LIMIT, genus_classes, genus_first_failure
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,8 @@ def profinitely_commensurable(m: int, n: int, m2: int, n2: int,
     Local equivalence is ``genus_first_failure``'s closed rule, which
     covers every finite place; its first failing place is the witness.
     """
+    if max(m + n, m2 + n2) > PM_RANK_LIMIT:
+        raise ValueError(f"need m + n <= {PM_RANK_LIMIT}, got {max(m + n, m2 + n2)}")
     first = SpinGroupDescriptor(m, n)
     second = SpinGroupDescriptor(m2, n2)
     failure = genus_first_failure(m, n, m2, n2)

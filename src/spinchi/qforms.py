@@ -43,26 +43,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exactq import FactoredInteger, Scalar, is_prime
+from .exactq import FactoredInteger, Scalar, Value, is_prime
 
 PM_RANK_LIMIT = 10 ** 5
-"""Largest rank m + n that ``DiagonalForm.pm`` (and ``b(m,n)``) builds."""
+"""Largest rank m + n that ``DiagonalForm.pm`` builds and ``compare`` accepts."""
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Value):
     """A place of Q: ``Place(None)`` is archimedean, ``Place(p)`` is p-adic."""
 
-    prime: Optional[int] = None
+    __slots__ = _fields = ("prime",)
 
-    def __post_init__(self) -> None:
-        if self.prime is not None and not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
+    def __init__(self, prime: Optional[int] = None) -> None:
+        if prime is not None and not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        object.__setattr__(self, "prime", prime)
 
     @property
     def is_infinite(self) -> bool:
@@ -154,18 +153,19 @@ def square_class_key(a: Scalar, v: "Place | int | None") -> int:
     return _key(_rep(a), _as_place(v).prime)
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
+class DiagonalForm(Value):
     """Nondegenerate diagonal quadratic form sum a_i x_i^2 over Q."""
 
+    __slots__ = ("entries", "reps", "_memo")
+    _fields = ("entries",)  # reps and the memo stay out of ==, hash and repr
     entries: tuple[Fraction, ...]
-    reps: tuple[int, ...] = field(init=False, compare=False, repr=False)  # num * den
+    reps: tuple[int, ...]  # num * den
     # place -> (Hasse parity, disc code, Witt index), and "Q" -> the rational index
-    _memo: dict = field(init=False, compare=False, repr=False)
+    _memo: dict
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: Sequence[Scalar]) -> None:
         entries = tuple(e if isinstance(e, Fraction) else Fraction(e)
-                        for e in self.entries)
+                        for e in entries)
         if not entries:
             raise ValueError("need at least one entry")
         reps = tuple(e.numerator * e.denominator for e in entries)
@@ -209,10 +209,10 @@ class DiagonalForm:
         return ",".join(str(e) for e in self.entries)
 
 
-@dataclass(frozen=True)
-class LocalInvariants:
+class LocalInvariants(Value):
     """Complete Q_v-equivalence data of a form."""
 
+    __slots__ = _fields = ("place", "dimension", "disc_class", "hasse", "signature")
     place: Place
     dimension: int
     disc_class: int
@@ -368,14 +368,6 @@ def fp_type(m: int, n: int, p: int) -> int:
     if p == 2 or not is_prime(p):
         raise ValueError("need an odd prime")
     return -1 if twisted and p % 4 == 3 else 1
-
-
-def genus_equal_finite_places(m: int, n: int, m2: int, n2: int) -> bool:
-    """Z_p-equivalence of <1^m,(-1)^n> and <1^m2,(-1)^n2> at all finite p.
-
-    The closed rule of ``genus_first_failure``: equal rank and n = n2 mod 4.
-    """
-    return genus_first_failure(m, n, m2, n2) is None
 
 
 def genus_classes(d: int) -> list[list[tuple[int, int]]]:

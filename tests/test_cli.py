@@ -357,6 +357,9 @@ def test_domain_errors_exit_2(capsys):
     assert "m + n <= 100000" in err
     code, _, err = run(capsys, "table", "--d-max", "2")
     assert code == 2
+    code, out, err = run(capsys, "compare", "100000", "2", "100000", "2")
+    assert (code, out) == (2, "")
+    assert "m + n <= 100000" in err
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

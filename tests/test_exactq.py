@@ -1,6 +1,7 @@
 """Tests for the exact rational layer: Bernoulli and Euler numbers,
 special values of zeta and the quartic L-function, the pi-power
-bookkeeping type, and integer factoring.
+bookkeeping type, integer factoring, and the contract of ``Value``, the
+immutable base of the ten runtime value types.
 
 Every table in the library is checked against an independent oracle:
 Bernoulli numbers against the Akiyama-Tanigawa scheme, zeta and L
@@ -9,7 +10,9 @@ and factoring against plain multiplication.
 """
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -18,13 +21,16 @@ import mpmath
 import pytest
 
 from spinchi import exactq, oracles
-from spinchi.clifford import CoefficientRing
+from spinchi.clifford import CoefficientRing, Signature
+from spinchi.euler import (EulerResult, L2Profile, SArithmeticSign, chi_closed,
+                           l2_profile, s_arithmetic_sign)
 from spinchi.exactq import (
     _TRIAL_BOUND,
     FactoredInteger,
     PiExact,
     PiPowerMismatchError,
     ResidualPiPowerError,
+    Value,
     bernoulli,
     bernoulli_poly,
     decimal_str,
@@ -39,6 +45,9 @@ from spinchi.exactq import (
     zeta_negative_odd,
     zigzag,
 )
+from spinchi.ggroups import SpinGroupDescriptor
+from spinchi.qforms import (DiagonalForm, LocalInvariants, Place, hasse_invariant,
+                            local_invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -571,3 +580,77 @@ def test_decimal_str_across_the_digit_limit():
 def test_invalid_inputs_raise(call, error):
     with pytest.raises(error):
         call()
+
+
+# ---------------------------------------------------------------------------
+# Value: the immutable base of the runtime value types
+
+VALUES = {
+    PiExact: lambda: PiExact(Fraction(-3, 4), 5),
+    FactoredInteger: lambda: FactoredInteger.of(-360),
+    Place: lambda: Place(7),
+    DiagonalForm: lambda: DiagonalForm((1, Fraction(-2, 3), 5)),
+    LocalInvariants: lambda: local_invariants(DiagonalForm((1, -2, 5)), None),
+    SpinGroupDescriptor: lambda: SpinGroupDescriptor(3, 2),
+    Signature: lambda: Signature(3, 2),
+    EulerResult: lambda: chi_closed(8, 2),
+    L2Profile: lambda: l2_profile(3, 3),
+    SArithmeticSign: lambda: s_arithmetic_sign(3, 3, (2, 5)),
+}
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_value_contract(cls):
+    a = VALUES[cls]()
+    assert type(a) is cls and isinstance(a, Value) and not hasattr(a, "__dict__")
+    values = [getattr(a, name) for name in cls._fields]
+    b = cls(*values)
+    assert a == b and b is not a and not a != b
+    if cls is SArithmeticSign:  # witt_by_place is a dict, as before
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(tuple(values))
+    name = cls._fields[0]
+    for mutate in (lambda: setattr(a, name, values[0]), lambda: delattr(a, name),
+                   lambda: setattr(a, "extra", 1)):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert getattr(a, name) is values[0]
+    for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(clone) is cls and clone == a
+    text = repr(a)
+    assert text.startswith(cls.__name__ + "(")
+    assert all(f"{name}={value!r}" in text for name, value in zip(cls._fields, values))
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
+def test_value_types_of_different_classes_are_unequal():
+    assert Signature(3, 2) != SpinGroupDescriptor(3, 2)
+    assert SpinGroupDescriptor(3, 2) != Signature(3, 2)
+    assert Signature(3, 2).__eq__((3, 2)) is NotImplemented
+    assert len({Signature(3, 2), SpinGroupDescriptor(3, 2), Signature(3, 2)}) == 2
+
+
+def test_value_validation_is_unchanged():
+    for call in (lambda: Place(4), lambda: Signature(0, 0),
+                 lambda: SpinGroupDescriptor(1, 1), lambda: DiagonalForm(())):
+        with pytest.raises(ValueError):
+            call()
+    assert PiExact(0, 3).half_pi_power == 0
+    assert PiExact(0, 3) == PiExact(Fraction(0))
+    assert PiExact(2).coeff == Fraction(2) and PiExact(2).half_pi_power == 0
+    assert Place() == Place(None) and Place().is_infinite
+    assert DiagonalForm((1, 2)).entries == (Fraction(1), Fraction(2))
+
+
+def test_diagonal_form_value_ignores_reps_and_memo():
+    f, g = DiagonalForm((3, Fraction(-1, 2))), DiagonalForm((3, Fraction(-1, 2)))
+    hasse_invariant(g, 3)
+    assert g._memo and not f._memo
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert repr(f) == "DiagonalForm(entries=(Fraction(3, 1), Fraction(-1, 2)))"
+    assert g.reps == (3, -2)
+    clone = pickle.loads(pickle.dumps(g))
+    assert clone == g and clone.reps == g.reps and not clone._memo

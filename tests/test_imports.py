@@ -3,7 +3,9 @@
 A stdlib ``ast`` scan: a module's imported names must each appear as a
 name somewhere in its code or in a string annotation.  ``__init__.py``
 only re-exports, and ``__future__`` imports are directives, so both are
-exempt.
+exempt.  A second scan keeps ``dataclasses`` to ``profinite``: generated
+classes cost about 1 ms each at import, and the runtime value types
+build on ``exactq.Value`` instead.
 """
 from __future__ import annotations
 
@@ -56,3 +58,19 @@ def test_scan_flags_an_unused_import():
     tree = ast.parse("import math\nfrom typing import Iterator, Optional\n"
                      "def f(x: 'Optional[int]'): return x\n")
     assert _imported_names(tree) - _referenced_names(tree) == {"math", "Iterator"}
+
+
+def _imports_dataclasses(tree: ast.Module) -> bool:
+    return any(isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+               for node in ast.walk(tree))
+
+
+def test_only_profinite_imports_dataclasses():
+    users = {p.name for p in SRC.glob("*.py")
+             if _imports_dataclasses(ast.parse(p.read_text(), filename=str(p)))}
+    assert users == {"profinite.py"}, sorted(users)
+    for text in ("import dataclasses", "from dataclasses import dataclass",
+                 "def f():\n    import dataclasses as dc\n"):
+        assert _imports_dataclasses(ast.parse(text))
+    assert not _imports_dataclasses(ast.parse("import dataclass_tools\nimport fractions"))

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinchi import profinite
 from spinchi.euler import chi_closed
 from spinchi.profinite import (
     _equivalent_pairs,
@@ -21,7 +22,7 @@ from spinchi.profinite import (
     sweep_euler_not_profinite,
     sweep_theorem_frank_dim,
 )
-from spinchi.qforms import genus_classes, genus_equal_finite_places, genus_first_failure
+from spinchi.qforms import PM_RANK_LIMIT, genus_classes, genus_first_failure
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def test_sweep_classes_agree_with_pairwise_criterion():
     for cls in report.classes:
         for a in cls:
             for b in cls:
-                assert genus_equal_finite_places(*a, *b), (a, b)
+                assert genus_first_failure(*a, *b) is None, (a, b)
     # genus_classes partitions the rank-d signatures into the classes of
     # the pairwise rule, each listed by increasing m
     for d in range(2, 41):
@@ -146,6 +147,16 @@ def test_sweep_ratio_notes_include_a_non_power_of_2():
     assert any("(1, 6)" in note and "(5, 2)" in note for note in flagged)
 
 
+def test_report_rejects_ranks_above_the_limit_before_any_chi(monkeypatch):
+    def no_chi(m, n):
+        raise AssertionError(f"chi built for ({m}, {n})")
+
+    monkeypatch.setattr(profinite, "chi_closed", no_chi)
+    for args in ((PM_RANK_LIMIT, 1, 8, 2), (8, 2, 1, PM_RANK_LIMIT)):
+        with pytest.raises(ValueError, match=f"m \\+ n <= {PM_RANK_LIMIT}"):
+            profinitely_commensurable(*args)
+
+
 def test_sweep_rejects_small_dmax():
     with pytest.raises(ValueError):
         sweep_theorem_frank_dim(2)
@@ -178,12 +189,12 @@ def test_chi_mismatch_exists_already_at_d7():
 def test_local_equivalence_is_an_equivalence_relation():
     descs = [(m, 9 - m) for m in range(1, 9)]
     for a in descs:
-        assert genus_equal_finite_places(*a, *a)
+        assert genus_first_failure(*a, *a) is None
     for a in descs:
         for b in descs:
-            assert genus_equal_finite_places(*a, *b) == \
-                genus_equal_finite_places(*b, *a)
+            assert (genus_first_failure(*a, *b) is None) == \
+                (genus_first_failure(*b, *a) is None)
             for c in descs:
-                if genus_equal_finite_places(*a, *b) and \
-                        genus_equal_finite_places(*b, *c):
-                    assert genus_equal_finite_places(*a, *c)
+                if genus_first_failure(*a, *b) is None and \
+                        genus_first_failure(*b, *c) is None:
+                    assert genus_first_failure(*a, *c) is None

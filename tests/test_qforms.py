@@ -35,7 +35,6 @@ from spinchi.qforms import (
     Place,
     anisotropic_dim,
     fp_type,
-    genus_equal_finite_places,
     genus_first_failure,
     hasse_invariant,
     hilbert_symbol,
@@ -706,27 +705,26 @@ def test_rational_witt_index_of_pm_forms_is_min():
 
 
 def test_genus_criterion_examples():
-    assert genus_equal_finite_places(8, 2, 4, 6)
     assert genus_first_failure(8, 2, 4, 6) is None
-    assert genus_equal_finite_places(5, 5, 1, 9)
+    assert genus_first_failure(5, 5, 1, 9) is None
     assert genus_first_failure(8, 2, 9, 1) == "p=3"
     assert genus_first_failure(2, 2, 2, 3) == "rank"
     assert genus_first_failure(6, 2, 4, 4) == "p=2"
-    assert not genus_equal_finite_places(6, 2, 4, 4)
+    assert genus_first_failure(6, 2, 4, 4) is not None
     with pytest.raises(ValueError):
-        genus_equal_finite_places(0, 2, 1, 1)
+        genus_first_failure(0, 2, 1, 1)
 
 
 def test_genus_criterion_is_reflexive_and_symmetric():
     pairs = [(m, n) for m in range(1, 6) for n in range(1, 6)]
     for m, n in pairs:
-        assert genus_equal_finite_places(m, n, m, n)
+        assert genus_first_failure(m, n, m, n) is None
     rng = random.Random(3)
     for _ in range(60):
         m, n = rng.choice(pairs)
         m2, n2 = rng.choice(pairs)
-        assert genus_equal_finite_places(m, n, m2, n2) == \
-            genus_equal_finite_places(m2, n2, m, n)
+        assert (genus_first_failure(m, n, m2, n2) is None) == \
+            (genus_first_failure(m2, n2, m, n) is None)
 
 
 @functools.cache
