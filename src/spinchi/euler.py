@@ -118,9 +118,7 @@ class EulerResult(Value):
     @property
     def factored(self) -> str:
         """The value as a signed prime power product, e.g. "2^89 * 5^2 * 17"."""
-        if not self.lead:
-            return "0"
-        return str(FactoredInteger.of(self.lead) * self.dimension.factored)
+        return str(FactoredInteger.of(self.lead) * self.dimension.factored) if self.lead else "0"
 
 
 def r_factor(d: int) -> int:
@@ -132,18 +130,20 @@ def r_factor(d: int) -> int:
     return 2 ** (part.a + l * (l - 1)) * zigzag(part.indices[0])
 
 
+def _sign(m: int, n: int) -> int:  # chi_sign once SpinGroupDescriptor(m, n) has checked (m, n)
+    return 0 if m % 2 and n % 2 else (-1 if (m * n // 2) % 2 else 1)
+
+
 def chi_sign(m: int, n: int) -> int:
     """0 if m, n both odd, else (-1)^(m n / 2)."""
     check_signature(m, n)
-    if m % 2 and n % 2:
-        return 0
-    return -1 if (m * n // 2) % 2 else 1
+    return _sign(m, n)
 
 
 def chi_closed(m: int, n: int) -> EulerResult:
     """chi of the level-4 congruence subgroup of Spin(m, n), exactly."""
     desc = SpinGroupDescriptor(m, n)
-    sign = chi_sign(m, n)
+    sign = _sign(m, n)
     return EulerResult(desc, sign, sign * math.comb(desc.l, desc.k))
 
 
@@ -181,7 +181,7 @@ def adelic_assembly_exact(m: int, n: int) -> Fraction:
     ResidualPiPowerError propagates (an internal invariant violation).
     """
     desc = SpinGroupDescriptor(m, n)
-    sign = chi_sign(m, n)
+    sign = _sign(m, n)
     if not sign:
         raise ValueError("chi = 0 for m, n both odd; no assembly defined")
     odd = _odd_euler_product_exact(order_degrees(m, n)[1])
@@ -229,7 +229,7 @@ def adelic_assembly_float(m: int, n: int, prime_bound: int = 10 ** 5) -> float:
     desc = SpinGroupDescriptor(m, n)
     if prime_bound < 100:
         raise ValueError("prime_bound too small to be meaningful")
-    sign = chi_sign(m, n)
+    sign = _sign(m, n)
     if not sign:
         return 0.0
     factor = _local_volume_factor(desc)

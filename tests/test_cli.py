@@ -1,7 +1,10 @@
 """Tests for the command-line interface.
 
-Everything goes through ``main(argv)`` with captured stdout/stderr, so
-the exit codes and the exact JSON/CSV shapes are pinned down.
+Everything goes through ``main(argv)`` with captured stdout/stderr.
+``golden_cli.json`` pins the exit code and the sha256 of stdout of fixed
+command lines, one entry per line; CI runs the same entries through the
+installed ``spinchi``.  To change an output on purpose, replace its line
+with the one that ``test_golden_output`` prints on the mismatch.
 """
 from __future__ import annotations
 
@@ -13,6 +16,9 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from spinchi import cli, euler, exactq, profinite
 from spinchi.cli import main
@@ -24,6 +30,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
+def test_golden_output(capsys, entry):
+    # stderr stays empty exactly when the command succeeds
+    code, out, err = run(capsys, *entry["argv"])
+    got = {"argv": entry["argv"], "exit": code,
+           "sha256": hashlib.sha256(out.encode()).hexdigest()}
+    assert got == entry, f"new entry: {json.dumps(got)}"
+    assert (err == "") == (code == 0), err
 
 
 def test_chi_json_record(capsys):
@@ -57,12 +76,6 @@ def test_chi_vanishing_record(capsys):
     assert record["l2"]["torsion_sign"] == 1
 
 
-def test_chi_factored_flag(capsys):
-    code, out, _ = run(capsys, "chi", "4", "6", "--factored")
-    assert code == 0
-    assert out.strip() == "2^90 * 5^2 * 17"
-
-
 def test_chi_factored_frontier(capsys, parse_factored):
     code, out, _ = run(capsys, "chi", "48", "2", "--factored")
     assert code == 0
@@ -76,12 +89,6 @@ def test_chi_pretty_is_indented_json(capsys):
     assert code == 0
     assert "\n  " in out
     assert json.loads(out)["chi"] == "-2^3"
-
-
-def test_sign_command(capsys):
-    code, out, _ = run(capsys, "sign", "2", "1")
-    assert code == 0
-    assert json.loads(out) == {"m": 2, "n": 1, "sign": -1}
 
 
 def test_profile_command(capsys):
@@ -114,47 +121,6 @@ def test_compare_inequivalent_pair(capsys):
     assert record["verdict"] == "not locally equivalent"
 
 
-def test_compare_json_lines_are_frozen(capsys):
-    rows = {
-        ("8", "2", "4", "6"):
-            '{"first": {"m": 8, "n": 2, "chi": "2^89 * 5^2 * 17", "sign": 1}, '
-            '"second": {"m": 4, "n": 6, "chi": "2^90 * 5^2 * 17", "sign": 1}, '
-            '"locally_equivalent": true, "witness": "all p <= 100 pass", '
-            '"csp_note": "rational Witt indices 2 and 4: both >= 2, congruence '
-            'kernels trivial (Kneser)", "dim_mod4_consistent": true, '
-            '"delta_consistent": true, "verdict": "profinitely commensurable"}',
-        ("8", "2", "9", "1"):
-            '{"first": {"m": 8, "n": 2, "chi": "2^89 * 5^2 * 17", "sign": 1}, '
-            '"second": {"m": 9, "n": 1, "chi": "0", "sign": 0}, '
-            '"locally_equivalent": false, "witness": "p=3", '
-            '"csp_note": "rational Witt indices 2 and 1: some < 2, congruence '
-            'kernel not controlled here", "dim_mod4_consistent": false, '
-            '"delta_consistent": false, "verdict": "not locally equivalent"}',
-        ("2", "2", "2", "3"):
-            '{"first": {"m": 2, "n": 2, "chi": "2^9", "sign": 1}, '
-            '"second": {"m": 2, "n": 3, "chi": "-2^16", "sign": -1}, '
-            '"locally_equivalent": false, "witness": "rank", '
-            '"csp_note": "rational Witt indices 2 and 2: both >= 2, congruence '
-            'kernels trivial (Kneser)", "dim_mod4_consistent": false, '
-            '"delta_consistent": true, "verdict": "not locally equivalent"}',
-        ("5", "5", "1", "9"):
-            '{"first": {"m": 5, "n": 5, "chi": "0", "sign": 0}, '
-            '"second": {"m": 1, "n": 9, "chi": "0", "sign": 0}, '
-            '"locally_equivalent": true, "witness": "all p <= 100 pass", '
-            '"csp_note": "rational Witt indices 5 and 1: some < 2, congruence '
-            'kernel not controlled here", "dim_mod4_consistent": true, '
-            '"delta_consistent": true, "verdict": "locally equivalent '
-            '(commensurability conditional on congruence kernel)"}',
-    }
-    for argv, line in rows.items():
-        code, out, _ = run(capsys, "compare", *argv)
-        assert code == 0
-        assert out == line + "\n"
-    code, _, err = run(capsys, "compare", "8", "2", "4", "6", "--prime-bound", "50")
-    assert code == 2
-    assert "--prime-bound" in err
-
-
 def test_table_csv_row_count(capsys):
     code, out, _ = run(capsys, "table", "--csv", "--d-max", "10")
     assert code == 0
@@ -164,14 +130,6 @@ def test_table_csv_row_count(capsys):
     assert len(lines) == 45
     row82 = next(line for line in lines if line.startswith("8,2,"))
     assert "2^89 * 5^2 * 17" in row82
-
-
-def test_table_csv_d36_is_frozen(capsys):
-    # the whole CSV, pinned by its sha256
-    code, out, _ = run(capsys, "table", "--d-max", "36", "--csv")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "832a6ceb99b6fd62803c3bb5605f54bde49d857a52fda0f48861f730ab24d841"
 
 
 def test_table_pretty_columns_are_aligned_csv_cells(capsys):
@@ -232,16 +190,6 @@ def test_table_json_computes_chi_once_per_row(capsys, monkeypatch):
         assert record["l2"]["betti_degree"] == (record["dimX"] // 2 if record["delta"] == 0 else None)
 
 
-def test_witt_command(capsys):
-    code, out, _ = run(capsys, "witt", "b(4,1)", "2")
-    assert code == 0
-    assert json.loads(out) == {"witt": 1, "aniso_dim": 3}
-    code, out, _ = run(capsys, "witt", "b(2,3)", "2")
-    assert json.loads(out) == {"witt": 2, "aniso_dim": 1}
-    code, out, _ = run(capsys, "witt", "1,1,-1", "oo")
-    assert json.loads(out) == {"witt": 1, "aniso_dim": 1}
-
-
 def test_witt_command_is_linear_and_never_factors(capsys):
     # The Hasse invariant of b(2000,1) is one pass over its entries, and
     # the second form's first entry is A_69's 41-digit cofactor, which no
@@ -292,46 +240,25 @@ def test_profile_past_the_decimal_digit_limit(capsys):
     assert len(want) > 4300 and betti == want
 
 
-def test_srank_command(capsys):
-    code, out, _ = run(capsys, "srank", "4", "1", "2")
-    assert code == 0
-    record = json.loads(out)
-    assert record == {
-        "m": 4, "n": 1, "S": [2],
-        "witt": {"oo": 1, "2": 1},
-        "rank_S": 2, "rank_Q": 1,
-        "sign": -1, "ep_vanishes": False,
-    }
-    code, out, _ = run(capsys, "srank", "2", "3", "2")
-    record = json.loads(out)
-    assert record["rank_S"] == 4 and record["sign"] == -1
+_DISAGREEING = [  # (what is patched, a stub that disagrees, its suite, its FAIL message)
+    ("spinchi.exactq.gen_bernoulli_mod4", lambda ell: Fraction(1), "exactq",
+     "L identity failed at ell=1"),
+    ("spinchi.oracles.product_coefficient", lambda x, y, b: None, "clifford", "dense product over "),
+    ("spinchi.oracles.hasse_pairwise", lambda entries, v: 0, "oracles", "Hasse invariant of <"),
+    ("spinchi.oracles.witt_index_peel", lambda entries, v: -1, "oracles", "Witt index of <"),
+    ("spinchi.oracles.qp_equivalent_pairwise", lambda f, g, v: None, "oracles", "equivalence of <"),
+    ("spinchi.euler.adelic_assembly_float", lambda m, n: 0.0, "adelic",
+     "float Euler product off at (1,2): 0.0"),
+]
 
 
-def test_srank_odd_dimension(capsys):
-    code, out, _ = run(capsys, "srank", "3", "3")
-    assert code == 0
-    record = json.loads(out)
-    assert record["sign"] == 0 and record["ep_vanishes"] is True
-
-
-def test_verify_all_passes(capsys):
-    code, out, _ = run(capsys, "verify")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines == ["PASS exactq", "PASS clifford", "PASS oracles", "PASS adelic"]
-
-
-def test_verify_single_suite(capsys):
-    code, out, _ = run(capsys, "verify", "exactq")
-    assert code == 0
-    assert out.strip() == "PASS exactq"
-
-
-def test_verify_reports_a_failed_check(capsys, monkeypatch):
-    monkeypatch.setattr(exactq, "gen_bernoulli_mod4", lambda ell: Fraction(1))
-    code, out, _ = run(capsys, "verify", "exactq")
+@pytest.mark.parametrize("target, stub, suite, message", _DISAGREEING,
+                         ids=[case[0].rsplit(".", 1)[1] for case in _DISAGREEING])
+def test_verify_reports_a_failed_check(capsys, monkeypatch, target, stub, suite, message):
+    monkeypatch.setattr(target, stub)
+    code, out, _ = run(capsys, "verify", suite)
     assert code == 3
-    assert out.startswith("FAIL exactq: ")
+    assert out.startswith(f"FAIL {suite}: {message}"), out
 
 
 def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
@@ -360,6 +287,9 @@ def test_domain_errors_exit_2(capsys):
     code, out, err = run(capsys, "compare", "100000", "2", "100000", "2")
     assert (code, out) == (2, "")
     assert "m + n <= 100000" in err
+    code, _, err = run(capsys, "compare", "8", "2", "4", "6", "--prime-bound", "50")
+    assert code == 2
+    assert "--prime-bound" in err
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
@@ -378,12 +308,6 @@ def test_closed_stdout_exits_1_without_a_traceback():
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b""), argv
-
-
-def test_argparse_errors_exit_2(capsys):
-    assert run(capsys, "chi", "8")[0] == 2
-    assert run(capsys, "nonsense")[0] == 2
-    assert run(capsys)[0] == 2
 
 
 def test_adelic_float_cli_free_of_rounding():

@@ -161,10 +161,13 @@ def test_chi_sign_values():
 
 
 def test_sign_rule_read_from_chi_sign(monkeypatch):
-    # chi_closed and both assemblies take their sign from chi_sign alone.
-    monkeypatch.setattr(euler, "chi_sign", lambda m, n: -chi_sign(m, n))
-    for m, n in ((8, 2), (2, 1), (2, 2), (4, 3)):
-        true_sign = chi_sign(m, n)  # the unpatched rule imported above
+    # chi_sign, chi_closed and both assemblies take their sign from one rule,
+    # euler._sign, which chi_sign wraps with the signature check.
+    true_signs = {(m, n): chi_sign(m, n) for m, n in ((8, 2), (2, 1), (2, 2), (4, 3))}
+    rule = euler._sign
+    monkeypatch.setattr(euler, "_sign", lambda m, n: -rule(m, n))
+    for (m, n), true_sign in true_signs.items():
+        assert chi_sign(m, n) == -true_sign
         assert chi_closed(m, n).value * true_sign < 0
         assert euler.adelic_assembly_exact(m, n) * true_sign < 0
         assert euler.adelic_assembly_float(m, n, 1000) * true_sign < 0
@@ -306,6 +309,24 @@ def test_fp_type_is_read_from_order_degrees_alone(monkeypatch):
         assert adelic_assembly_exact(8, 2) != chi
     except ResidualPiPowerError:
         pass
+
+
+def test_one_signature_check_per_call(monkeypatch):
+    # SpinGroupDescriptor checks (m, n); the sign rule does not check again.
+    checked = []
+    check = ggroups.check_signature
+
+    def counting(m, n):
+        checked.append((m, n))
+        check(m, n)
+
+    monkeypatch.setattr(ggroups, "check_signature", counting)
+    monkeypatch.setattr(euler, "check_signature", counting)
+    for fn in (chi_closed, chi_sign, adelic_assembly_exact, adelic_assembly_float):
+        for m, n in ((8, 2), (2, 1)):
+            checked.clear()
+            fn(m, n)
+            assert checked == [(m, n)], (fn.__name__, m, n)
 
 
 def test_chi_closed_builds_one_descriptor(monkeypatch):
