@@ -29,10 +29,13 @@ product of local volumes: the normalized compact-dual volume, the
 2-adic congruence subgroup volume 2^(-d(d-1)), and the odd-prime Euler
 product expressed through zeta/L special values.  The pi powers must
 cancel exactly; a residual power raises ``ResidualPiPowerError`` and
-means a bug, not an input error.  ``adelic_assembly_float`` shares the
-other local volumes and walks the actual odd-prime Euler product up to
-a bound in log space: one cached sum per degree of the group order,
-stopping where no later term can change the float.
+means a bug, not an input error.  Only sign * 2 C(l, k) depends on m at
+fixed d: the rest is one rational per (d, F_p type), cached on d and the
+degree tuple of ``order_degrees(m, n)``, which carries the type.
+``adelic_assembly_float`` shares the per-d factor 2^(d(d-1)) / vol and
+walks the actual odd-prime Euler product up to a bound in log space: one
+cached sum per degree of the group order, stopping where no later term
+can change the float.
 """
 from __future__ import annotations
 
@@ -168,10 +171,16 @@ def _odd_euler_product_exact(degrees: tuple[tuple[int, bool], ...]) -> PiExact:
     return out
 
 
-def _local_volume_factor(desc: SpinGroupDescriptor) -> PiExact:
-    """2 C(l,k) * 2^(d(d-1)) / vol(compact dual): all but the odd-prime product."""
-    d = desc.d
-    return weyl_ratio(desc) * Fraction(2) ** (d * (d - 1)) / vol_compact_dual(d)
+@lru_cache(maxsize=256)
+def _dual_factor(d: int) -> PiExact:
+    """2^(d(d-1)) / vol(compact dual): the local volumes that depend on d alone."""
+    return Fraction(2) ** (d * (d - 1)) / vol_compact_dual(d)
+
+
+@lru_cache(maxsize=512)
+def _assembly_factor(d: int, degrees: tuple[tuple[int, bool], ...]) -> Fraction:
+    """``_dual_factor(d)`` times the odd-prime product, once per (d, F_p type)."""
+    return (_odd_euler_product_exact(degrees) * _dual_factor(d)).as_rational()
 
 
 def adelic_assembly_exact(m: int, n: int) -> Fraction:
@@ -184,8 +193,7 @@ def adelic_assembly_exact(m: int, n: int) -> Fraction:
     sign = _sign(m, n)
     if not sign:
         raise ValueError("chi = 0 for m, n both odd; no assembly defined")
-    odd = _odd_euler_product_exact(order_degrees(m, n)[1])
-    return sign * (odd * _local_volume_factor(desc)).as_rational()
+    return sign * weyl_ratio(desc) * _assembly_factor(desc.d, order_degrees(m, n)[1])
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +240,7 @@ def adelic_assembly_float(m: int, n: int, prime_bound: int = 10 ** 5) -> float:
     sign = _sign(m, n)
     if not sign:
         return 0.0
-    factor = _local_volume_factor(desc)
+    factor = weyl_ratio(desc) * _dual_factor(desc.d)
     log_abs = (math.log(factor.coeff.numerator) - math.log(factor.coeff.denominator)
                + factor.half_pi_power / 2 * math.log(math.pi)
                + sum(_degree_log_sum(e, twisted, prime_bound)
@@ -289,13 +297,12 @@ def chi_free_product(a: Fraction | int, b: Fraction | int) -> Fraction:
 
 
 def chi_direct_product(a: Fraction | int, b: Fraction | int) -> Fraction:
-    """chi(G x H) = chi(G) chi(H)."""
+    """chi(G x H) = chi(G) chi(H); as ``rho_product(chi, rho)``, chi(G) * rho
+    for rho an arbitrary rational weight."""
     return Fraction(a) * Fraction(b)
 
 
-def rho_product(chi: Fraction | int, rho: Fraction | int) -> Fraction:
-    """chi(G x H) = chi(G) * rho for rho an arbitrary rational weight."""
-    return Fraction(chi) * Fraction(rho)
+rho_product = chi_direct_product
 
 
 class SArithmeticSign(Value):

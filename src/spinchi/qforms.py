@@ -28,12 +28,15 @@ and the last suffix is the discriminant's code.  A Q_p-form is fixed by
 its dimension, discriminant and Hasse invariant, and is isotropic from
 dimension 5 on, so its Witt index is a closed function of those three.
 A form keeps what one pass gives per place, and its index over Q.
-Places are validated once and cached.  No local function factors anything.
+Places are validated once and cached (256 places); the code of an integer
+at a place is memoised in ``_key`` (1024 pairs, about 0.25 MiB when full).
+No local function factors anything.
 
 By Hasse-Minkowski the Witt index over Q is the least local index.
 ``witt_index_rational`` factors the entries, to find the primes dividing
 them, only for forms that its closed bounds and its pair rule leave
-open; ``is_isotropic_rational`` never factors from dimension 5 on.
+open, and each distinct |entry| once per process (``_prime_divisors``,
+1024 integers); ``is_isotropic_rational`` never factors from dimension 5 on.
 
 The +-1 forms <1^m, (-1)^n> are odd unimodular Z-lattices, and their
 genus at the finite places is fixed by the rank d = m + n and n mod 4
@@ -105,8 +108,9 @@ def _rep(a: Scalar) -> int:
 _TWO_ADIC_UNIT = b"\0\0\0\6\0\4\0\2"  # u mod 8 -> eps(u) << 1 | omega(u) << 2
 
 
+@lru_cache(maxsize=1024)
 def _key(n: int, p: Optional[int]) -> int:
-    """Square-class code of a nonzero integer at p."""
+    """Square-class code of a nonzero integer at p, memoised."""
     if p is None:
         return int(n < 0)
     if p == 2:
@@ -143,9 +147,16 @@ def _hasse_disc(reps: Sequence[int], p: int) -> tuple[int, int]:
 
 def hilbert_symbol(a: Scalar, b: Scalar, v: "Place | int | None") -> int:
     """(a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution in Q_v."""
-    p = _as_place(v).prime
-    table = _PAIRING[0 if p is None else p % 4]
-    return 1 - 2 * table[_key(_rep(a), p) << 3 | _key(_rep(b), p)]
+    p = v.prime if isinstance(v, Place) else _place(v).prime  # inline: the hot path
+    if type(a) is not int:
+        num, den = a.as_integer_ratio()
+        a = num * den
+    if type(b) is not int:
+        num, den = b.as_integer_ratio()
+        b = num * den
+    if not (a and b):
+        raise ValueError("need a nonzero value")
+    return 1 - 2 * _PAIRING[0 if p is None else p % 4][_key(a, p) << 3 | _key(b, p)]
 
 
 def square_class_key(a: Scalar, v: "Place | int | None") -> int:
@@ -291,10 +302,15 @@ def _is_square(n: int) -> bool:
     return n > 0 and math.isqrt(n) ** 2 == n
 
 
+@lru_cache(maxsize=1024)
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    return tuple(p for p, _ in FactoredInteger.of(n).factors)
+
+
 def _relevant_primes(reps: Sequence[int]) -> set[int]:
     primes = {2}
     for n in set(map(abs, reps)):
-        primes.update(p for p, _ in FactoredInteger.of(n).factors)
+        primes.update(_prime_divisors(n))
     return primes
 
 

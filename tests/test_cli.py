@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from spinchi import cli, euler, exactq, profinite
+from spinchi import cli, euler, exactq, profinite, qforms
 from spinchi.cli import main
 from spinchi.euler import chi_closed
 from spinchi.exactq import FactoredInteger, ResidualPiPowerError
@@ -310,8 +310,23 @@ def test_closed_stdout_exits_1_without_a_traceback():
         assert (proc.returncode, proc.stderr) == (1, b""), argv
 
 
-def test_adelic_float_cli_free_of_rounding():
-    # exact values in the JSON are strings end to end; make sure json
-    # round-trips the big chi values losslessly
-    record = json.loads(json.dumps({"chi_rational": str(2 ** 89 * 25 * 17)}))
-    assert int(record["chi_rational"]) == 2 ** 89 * 25 * 17
+def test_memo_caches_are_bounded(capsys):
+    # The per-value caches of the local and adelic layers never grow past
+    # their maxsize, however many forms and signatures a process sees.
+    assert main(["verify", "oracles"]) == 0 and main(["verify", "adelic"]) == 0
+    capsys.readouterr()
+    for cache in (qforms._key, qforms._prime_divisors, qforms._place,
+                  euler._dual_factor, euler._assembly_factor):
+        info = cache.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize, info
+
+
+def test_adelic_float_cli_free_of_rounding(capsys):
+    # exact values in the JSON are strings end to end: chi above 2^53,
+    # where a float would round, comes back digit for digit
+    code, out, _ = run(capsys, "chi", "26", "2")
+    record = json.loads(out)
+    value = chi_closed(26, 2).value
+    assert code == 0 and abs(value) > 2 ** 53
+    assert record["chi_rational"] == str(value)
+    assert record["l2"]["betti_value"] == record["chi_rational"].lstrip("-")

@@ -192,12 +192,31 @@ def test_chi_symmetry_and_sign_consistency():
 # ---------------------------------------------------------------------------
 
 def test_adelic_assembly_matches_closed_formula():
-    for d in range(3, 11):
+    for d in range(3, 41):
         for m in range(1, d):
             n = d - m
             if m % 2 and n % 2:
                 continue
             assert adelic_assembly_exact(m, n) == chi_closed(m, n).value, (m, n)
+
+
+def test_assembly_factor_built_once_per_dimension_and_type(monkeypatch):
+    # Only sign * 2 C(l, k) depends on m at fixed d: the odd-prime product
+    # is taken once per (d, F_p type), 2^(d(d-1)) / vol once per d.
+    odd, vol, built = euler._odd_euler_product_exact, euler.vol_compact_dual, []
+    monkeypatch.setattr(euler, "_odd_euler_product_exact",
+                        lambda degrees: built.append(degrees) or odd(degrees))
+    monkeypatch.setattr(euler, "vol_compact_dual", lambda d: built.append(d) or vol(d))
+    euler._assembly_factor.cache_clear()
+    euler._dual_factor.cache_clear()
+    for d in range(3, 41):
+        built.clear()
+        for m in range(1, d):
+            if not (m % 2 and (d - m) % 2):
+                adelic_assembly_exact(m, d - m)
+                if d <= 24:
+                    adelic_assembly_float(m, d - m, 1000)
+        assert len([b for b in built if b != d]) <= 2 and built.count(d) <= 1, (d, built)
 
 
 def test_adelic_assembly_rejects_both_odd():

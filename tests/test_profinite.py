@@ -147,6 +147,19 @@ def test_sweep_ratio_notes_include_a_non_power_of_2():
     assert any("(1, 6)" in note and "(5, 2)" in note for note in flagged)
 
 
+def test_sweep_reports_a_broken_genus_rule(monkeypatch):
+    # A genus rule that puts (8, 2) and (7, 3) in one class breaks all
+    # three constraints: dim X 16 vs 21, delta 0 vs 1, sign +1 vs 0.
+    real = profinite.genus_classes
+    monkeypatch.setattr(profinite, "genus_classes",
+                        lambda d: [[(8, 2), (7, 3)]] if d == 10 else real(d))
+    report = sweep_theorem_frank_dim(10)
+    assert report.violations == ("(8, 2)/(7, 3): dim X not equal mod 4",
+                                 "(8, 2)/(7, 3): delta mismatch",
+                                 "(8, 2)/(7, 3): sign mismatch")
+    assert ((8, 2), (7, 3)) in report.equivalent_pairs
+
+
 def test_report_rejects_ranks_above_the_limit_before_any_chi(monkeypatch):
     def no_chi(m, n):
         raise AssertionError(f"chi built for ({m}, {n})")

@@ -596,16 +596,31 @@ def test_place_cache_keeps_every_error():
     assert qforms._as_place(7) is qforms._as_place(7)
     form = DiagonalForm.pm(2, 1)
     for _ in range(2):
-        with pytest.raises(ValueError, match="4 is not prime"):
+        with pytest.raises(ValueError, match="^4 is not prime$"):
             hilbert_symbol(2, 3, 4)
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            hilbert_symbol(0, 3, 4)  # the place is checked before the values
         with pytest.raises(ValueError, match="1 is not prime"):
             witt_index(form, 1)
         with pytest.raises(ValueError, match="0 is not prime"):
             square_class_key(3, 0)
-        with pytest.raises(ValueError, match="need a nonzero value"):
+        with pytest.raises(ValueError, match="^need a nonzero value$"):
             hilbert_symbol(0, 3, 5)
+        with pytest.raises(ValueError, match="^need a nonzero value$"):
+            hilbert_symbol(2, Fraction(0), None)
         with pytest.raises(ValueError, match="need a nonzero value"):
             square_class_key(Fraction(0), 2)
+
+
+def test_memoised_square_class_code_is_the_plain_one():
+    # Places vary fastest, so a cache keyed on n alone would answer with
+    # the code of the previous place.
+    rng = random.Random(23)
+    values = [s * n for n in range(1, 2001) for s in (1, -1)]
+    values += [rng.choice((1, -1)) * rng.getrandbits(60) or 1 for _ in range(500)]
+    for n in values:
+        for p in (None, 2, 3, 5, 7, 11, 13, 10007):
+            assert qforms._key(n, p) == qforms._key.__wrapped__(n, p), (n, p)
 
 
 def test_local_invariants_match_pairwise_referee_on_pm_forms(monkeypatch):
@@ -653,6 +668,7 @@ def test_hyperbolic_pair_decides_isotropy_without_factoring(monkeypatch):
         raise AssertionError(f"FactoredInteger.of({n}) called")
 
     monkeypatch.setattr(FactoredInteger, "of", refuse)
+    qforms._prime_divisors.cache_clear()  # no prime set from an earlier test
     cofactor = A69_COFACTOR_FORM.split(",")[0]
     for text in (A69_COFACTOR_FORM, f"{cofactor},-4/9,3,1/9",
                  f"{cofactor},3,{cofactor},-{cofactor}",
