@@ -104,23 +104,6 @@ def blade_str(blade: Blade) -> str:
     return "e{" + ",".join(str(i) for i in blade_indices(blade)) + "}"
 
 
-def blade_mul(j: Blade, k: Blade, sig: Signature) -> tuple[int, Blade]:
-    """(sign, blade) with e(J) e(K) = sign * e(J xor K).
-
-    The sign is (-1)^inversions times the product of squares of repeated
-    indices; inversions counts pairs (a, b) in J x K with a > b.
-    """
-    inv = 0
-    kk = k
-    while kk:
-        low = kk & -kk
-        inv += (j >> low.bit_length()).bit_count()
-        kk ^= low
-    neg_squares = ((j & k) >> sig.m).bit_count()
-    sign = -1 if (inv + neg_squares) & 1 else 1
-    return sign, j ^ k
-
-
 def sign_mask(j: Blade, m: int) -> int:
     """S with e(J) e(K) = (-1)^popcount(S & K) e(J xor K) for every K.
 

@@ -34,8 +34,8 @@ fixed d: the rest is one rational per (d, F_p type), cached on d and the
 degree tuple of ``order_degrees(m, n)``, which carries the type.
 ``adelic_assembly_float`` shares the per-d factor 2^(d(d-1)) / vol and
 walks the actual odd-prime Euler product up to a bound in log space: one
-cached sum per degree of the group order, stopping where no later term
-can change the float.
+sum per degree of the group order, stopping where no later term can
+change the float, cached with the primes for the last few bounds.
 """
 from __future__ import annotations
 
@@ -196,13 +196,13 @@ def adelic_assembly_exact(m: int, n: int) -> Fraction:
     return sign * weyl_ratio(desc) * _assembly_factor(desc.d, order_degrees(m, n)[1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _odd_primes(bound: int) -> tuple[int, ...]:
-    """The odd primes <= bound, sieved once per bound."""
+    """The odd primes <= bound, sieved once per bound (the last four bounds)."""
     return tuple(primes_up_to(bound)[1:])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _degree_log_sum(e: int, twisted: bool, prime_bound: int) -> float:
     """sum over odd p <= bound of -log(1 - t(p) p^(-e)).
 

@@ -4,15 +4,15 @@ Everything downstream (volumes, Euler characteristics, local invariants)
 reduces to exact rational numbers, rational multiples of half-integer
 powers of pi, and factored integers.  This module provides those scalars:
 
-* The Euler zigzag numbers A_n from one integer triangle, the Bernoulli
-  numbers (B_1 = -1/2, generating function t/(e^t - 1)) and the Euler
-  numbers read off them, and the Bernoulli polynomials.
+* The Euler zigzag numbers A_n from one integer triangle, and the
+  Bernoulli numbers (B_1 = -1/2, generating function t/(e^t - 1)) and
+  the Euler numbers read off them.
 * Generalized Bernoulli numbers B_{psi,n} for the nontrivial quadratic
   character psi mod 4.
 * Exact special values zeta(1-2j), zeta(2j), L(psi, odd), Gamma(j/2).
-* ``PiExact``: a rational multiple of pi^(k/2), closed under the ring
-  operations we need; additions across different pi powers are refused
-  rather than approximated.
+* ``PiExact``: a rational multiple of pi^(k/2).  Its nonzero values are
+  a group under * and /; it has no addition, so no sum across pi powers
+  is ever approximated.
 * ``FactoredInteger``: the one factorization type, a signed prime
   factorization of a nonzero integer.  Products add exponents, so a
   product of factored pieces never has to be factored again.  One trial
@@ -36,10 +36,6 @@ from functools import lru_cache
 from typing import Union
 
 Scalar = Union[int, Fraction]
-
-
-class PiPowerMismatchError(ValueError):
-    """Addition of PiExact values living at different powers of pi."""
 
 
 class ResidualPiPowerError(ArithmeticError):
@@ -130,23 +126,12 @@ def bernoulli(n: int) -> Fraction:
     return Fraction((-1) ** (j - 1) * n * zigzag(n - 1), 4 ** j * (4 ** j - 1))
 
 
-def bernoulli_poly(n: int, x: Scalar) -> Fraction:
-    """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k)."""
-    if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    x = Fraction(x)
-    return sum(
-        (math.comb(n, k) * bernoulli(k) * x ** (n - k) for k in range(n + 1)),
-        start=Fraction(0),
-    )
-
-
 def gen_bernoulli_mod4(n: int) -> Fraction:
     """Generalized Bernoulli number B_{psi,n} for psi the character mod 4.
 
-    Defined as 4^(n-1) * (B_n(1/4) - B_n(3/4)), and computed as
-    -n E_(n-1) / 2 for odd n and 0 for even n.  The first odd values are
-    -1/2, 3/2, -25/2, 427/2, -12465/2.
+    Defined as 4^(n-1) * (B_n(1/4) - B_n(3/4)) (``oracles.bernoulli_poly``)
+    and computed as -n E_(n-1) / 2 for odd n, 0 for even n.  The first
+    odd values are -1/2, 3/2, -25/2, 427/2, -12465/2.
     """
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")
@@ -220,51 +205,6 @@ class PiExact(Value):
 
     def __rtruediv__(self, other: Scalar) -> "PiExact":
         return self.inverse() * other
-
-    def __pow__(self, exponent: int) -> "PiExact":
-        if not isinstance(exponent, int):
-            raise TypeError("PiExact powers must be integers")
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return PiExact(self.coeff ** exponent, self.half_pi_power * exponent)
-
-    def __add__(self, other: "PiExact") -> "PiExact":
-        if not isinstance(other, PiExact):
-            other = PiExact(_as_fraction(other))
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.half_pi_power != other.half_pi_power:
-            raise PiPowerMismatchError(
-                f"cannot add pi^({self.half_pi_power}/2) to "
-                f"pi^({other.half_pi_power}/2)"
-            )
-        return PiExact(self.coeff + other.coeff, self.half_pi_power)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PiExact":
-        return PiExact(-self.coeff, self.half_pi_power)
-
-    def __sub__(self, other: "PiExact") -> "PiExact":
-        return self + (-other)
-
-    def __abs__(self) -> "PiExact":
-        return PiExact(abs(self.coeff), self.half_pi_power)
-
-    def to_float(self) -> float:
-        """Numeric value, in double precision."""
-        return (math.pi ** (self.half_pi_power / 2)) * self.coeff.numerator / self.coeff.denominator
-
-    def __str__(self) -> str:
-        if self.half_pi_power == 0:
-            return str(self.coeff)
-        half = self.half_pi_power
-        pi_part = f"pi^{half // 2}" if half % 2 == 0 else f"pi^({half}/2)"
-        if half == 2:
-            pi_part = "pi"
-        return f"{self.coeff} * {pi_part}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Group-theoretic data for Spin(m, n): Weyl groups, finite orders, volumes.
+"""Group-theoretic data for Spin(m, n): Weyl ratios, finite orders, volumes.
 
 ``spin_order_fp`` evaluates the classical order formulas for the F_p
 points (p odd, d = m + n >= 3, where Spin -> SO is onto with kernel and
@@ -11,7 +11,8 @@ with t = +1 for plus type and t = -1 for minus type (``qforms.fp_type``).
 ``order_degrees(m, n)`` holds this degree list with the type resolved,
 and ``spin_order_fp`` and both Euler products in ``euler`` read it.
 
-``oracles.so_order_bruteforce`` checks these formulas by enumeration.
+``oracles.so_order_bruteforce`` checks these formulas by enumeration, and
+``oracles.weyl_order`` the Weyl ratio.
 """
 from __future__ import annotations
 
@@ -69,20 +70,6 @@ class SpinGroupDescriptor(Value):
 
     def form(self) -> DiagonalForm:
         return DiagonalForm.pm(self.m, self.n)
-
-
-def weyl_order(series: str, rank: int) -> int:
-    """Order of the Weyl group of type B_rank or D_rank.
-
-    |W(B_l)| = 2^l l!, |W(D_l)| = 2^(l-1) l!; D_1 is the trivial group.
-    """
-    if rank < 1:
-        raise ValueError("need rank >= 1")
-    if series == "B":
-        return 2 ** rank * math.factorial(rank)
-    if series == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    raise ValueError(f"unknown series {series!r}, expected 'B' or 'D'")
 
 
 def weyl_ratio(desc: SpinGroupDescriptor) -> Fraction:

@@ -1,5 +1,6 @@
 """Reference implementations, independent of the fast code they check.
 
+Only ``cli`` (for ``spinchi verify``) and the tests import this module.
 ``spinchi verify oracles`` and the tests compare ``qforms.hilbert_symbol``
 against ``hilbert_bruteforce``, and the Hasse invariants, Witt indices,
 Q_p-equivalence and rational isotropy of ``qforms`` against the pairwise
@@ -7,10 +8,13 @@ referee below (``hasse_pairwise``, ``witt_index_peel``,
 ``qp_equivalent_pairwise``, ``witt_index_rational_peel``).
 ``spinchi verify clifford`` and the tests compare Clifford products
 against the term-by-term sums of ``product_coefficient`` (signs from
-``blade_mul``, not from ``sign_mask`` or the packed kernel), and
-``is_spin_element`` against ``is_spin_element_conjugates``, which forms
-every conjugate g e_i gbar.  Criterion 6, ``spinchi verify oracles`` and
-the tests count |SO(F_p)| with ``so_order_bruteforce``.
+``blade_mul``, which counts inversions and shares no code with
+``sign_mask`` or the packed kernel), and ``is_spin_element`` against
+``is_spin_element_conjugates``, which forms every conjugate g e_i gbar.
+Criterion 6, ``spinchi verify oracles`` and the tests count |SO(F_p)|
+with ``so_order_bruteforce``.  The tests check ``ggroups.weyl_ratio``
+against quotients of ``weyl_order`` and ``exactq.gen_bernoulli_mod4``
+against the defining sum ``bernoulli_poly``.
 """
 from __future__ import annotations
 
@@ -20,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .clifford import Blade, CliffordElement, blade_mul
-from .exactq import FactoredInteger, is_prime
+from .clifford import Blade, CliffordElement, Signature
+from .exactq import FactoredInteger, Scalar, bernoulli, is_prime
 from .qforms import DiagonalForm
 
 
@@ -34,9 +38,10 @@ def hilbert_bruteforce(a: int, b: int, prime: Optional[int]) -> int:
     """(a, b)_v by exhaustive search for z^2 = a x^2 + b y^2.
 
     Squarefree a, b only.  Modulus p^4 (2^6 at p = 2) makes every
-    primitive solution Hensel-liftable, so the search is exact.  A
-    primitive triple can be scaled so some coordinate is 1, hence three
-    sweeps, each linear in the modulus.  ``prime`` None is the real place.
+    primitive solution Hensel-liftable, so the search is exact.  If p | x
+    and p | y, then p^2 | z^2 = a x^2 + b y^2 and the triple is not
+    primitive, so x or y can be scaled to 1: two sweeps, each linear in
+    the modulus.  ``prime`` None is the real place.
     """
     if prime is None:
         return -1 if a < 0 and b < 0 else 1
@@ -47,10 +52,6 @@ def hilbert_bruteforce(a: int, b: int, prime: Optional[int]) -> int:
             return 1
     for x in range(modulus):
         if (b + a * x * x) % modulus in squares:  # y normalized to 1
-            return 1
-    a_squares = {a * s % modulus for s in squares}
-    for y in range(modulus):
-        if (1 - b * y * y) % modulus in a_squares:  # z normalized to 1
             return 1
     return -1
 
@@ -195,6 +196,35 @@ def witt_index_rational_peel(entries: Sequence) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Weyl group orders and Bernoulli polynomials, by their definitions
+
+
+def weyl_order(series: str, rank: int) -> int:
+    """Order of the Weyl group of type B_rank or D_rank.
+
+    |W(B_l)| = 2^l l!, |W(D_l)| = 2^(l-1) l!; D_1 is the trivial group.
+    """
+    if rank < 1:
+        raise ValueError("need rank >= 1")
+    if series == "B":
+        return 2 ** rank * math.factorial(rank)
+    if series == "D":
+        return 2 ** (rank - 1) * math.factorial(rank)
+    raise ValueError(f"unknown series {series!r}, expected 'B' or 'D'")
+
+
+def bernoulli_poly(n: int, x: Scalar) -> Fraction:
+    """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k)."""
+    if n < 0:
+        raise ValueError("Bernoulli index must be >= 0")
+    x = Fraction(x)
+    return sum(
+        (math.comb(n, k) * bernoulli(k) * x ** (n - k) for k in range(n + 1)),
+        start=Fraction(0),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Finite orthogonal groups, by enumeration
 
 SO_ORDER_BUDGET = 10 ** 8
@@ -271,6 +301,23 @@ def so_order_bruteforce(form: DiagonalForm, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Clifford products and spin membership, term by term
+
+
+def blade_mul(j: Blade, k: Blade, sig: Signature) -> tuple[int, Blade]:
+    """(sign, blade) with e(J) e(K) = sign * e(J xor K).
+
+    The sign is (-1)^inversions times the product of squares of repeated
+    indices; inversions counts pairs (a, b) in J x K with a > b.
+    """
+    inv = 0
+    kk = k
+    while kk:
+        low = kk & -kk
+        inv += (j >> low.bit_length()).bit_count()
+        kk ^= low
+    neg_squares = ((j & k) >> sig.m).bit_count()
+    sign = -1 if (inv + neg_squares) & 1 else 1
+    return sign, j ^ k
 
 
 def product_coefficient(x: CliffordElement, y: CliffordElement, blade: Blade):

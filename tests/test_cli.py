@@ -316,7 +316,8 @@ def test_memo_caches_are_bounded(capsys):
     assert main(["verify", "oracles"]) == 0 and main(["verify", "adelic"]) == 0
     capsys.readouterr()
     for cache in (qforms._key, qforms._prime_divisors, qforms._place,
-                  euler._dual_factor, euler._assembly_factor):
+                  euler._dual_factor, euler._assembly_factor,
+                  euler._odd_primes, euler._degree_log_sum):
         info = cache.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize, info
 

@@ -33,7 +33,6 @@ from spinchi.clifford import (
     TwoAdicIntegralityError,
     blade_from_indices,
     blade_indices,
-    blade_mul,
     blade_str,
     bracket,
     clifford_exp,
@@ -42,6 +41,7 @@ from spinchi.clifford import (
     lie_algebra_basis,
     sign_mask,
 )
+from spinchi.oracles import blade_mul
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,23 @@ def test_assembly_factor_built_once_per_dimension_and_type(monkeypatch):
         assert len([b for b in built if b != d]) <= 2 and built.count(d) <= 1, (d, built)
 
 
+def test_float_assembly_caches_stay_bounded_over_a_prime_bound_sweep():
+    # A caller sweeping the prime bound B must not grow the per-B caches
+    # without limit, and eviction must not change a value.
+    caches = (euler._odd_primes, euler._degree_log_sum)
+    bounds = range(100, 400)
+    warm = {}
+    for bound in bounds:
+        warm[bound] = adelic_assembly_float(4, 2, bound)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize, (bound, info)
+    for bound in bounds:
+        for cache in caches:
+            cache.cache_clear()
+        assert adelic_assembly_float(4, 2, bound) == warm[bound], bound
+
+
 def test_adelic_assembly_rejects_both_odd():
     with pytest.raises(ValueError):
         adelic_assembly_exact(3, 3)

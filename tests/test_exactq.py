@@ -28,11 +28,9 @@ from spinchi.exactq import (
     _TRIAL_BOUND,
     FactoredInteger,
     PiExact,
-    PiPowerMismatchError,
     ResidualPiPowerError,
     Value,
     bernoulli,
-    bernoulli_poly,
     decimal_str,
     euler_number,
     format_factored,
@@ -46,6 +44,7 @@ from spinchi.exactq import (
     zigzag,
 )
 from spinchi.ggroups import SpinGroupDescriptor
+from spinchi.oracles import bernoulli_poly
 from spinchi.qforms import (DiagonalForm, LocalInvariants, Place, hasse_invariant,
                             local_invariants)
 
@@ -295,11 +294,9 @@ def test_zeta_even_argument_at_integer():
 # PiExact arithmetic
 # ---------------------------------------------------------------------------
 
-def _random_pi_exact(rng: random.Random, half_power: int | None = None) -> PiExact:
+def _random_pi_exact(rng: random.Random) -> PiExact:
     coeff = Fraction(rng.randrange(-40, 41), rng.randrange(1, 30))
-    if half_power is None:
-        half_power = rng.randrange(-8, 9)
-    return PiExact(coeff, half_power)
+    return PiExact(coeff, rng.randrange(-8, 9))
 
 
 def test_pi_exact_zero_is_canonical():
@@ -315,12 +312,11 @@ def test_pi_exact_ring_laws():
         z = _random_pi_exact(rng)
         assert x * y == y * x
         assert (x * y) * z == x * (y * z)
-        h = rng.randrange(-6, 7)
-        a = _random_pi_exact(rng, h)
-        b = _random_pi_exact(rng, h)
-        assert a + b == b + a
-        assert x * (a + b) == x * a + x * b
-        assert a - b == a + (-b)
+        if y.coeff:
+            q = Fraction(rng.randrange(-40, 41), rng.randrange(1, 30))
+            assert x / y == x * y.inverse()
+            assert (x / y) * y == x
+            assert q / y == PiExact(q) / y
 
 
 def test_pi_exact_mixed_scalar_ops():
@@ -329,21 +325,6 @@ def test_pi_exact_mixed_scalar_ops():
     assert x * Fraction(1, 3) == PiExact(Fraction(1, 2), 4)
     assert x / 3 == PiExact(Fraction(1, 2), 4)
     assert 6 / x == PiExact(Fraction(4), -4)
-    assert x ** 3 == PiExact(Fraction(27, 8), 12)
-    assert x ** 0 == PiExact(Fraction(1), 0)
-    assert x ** -2 == PiExact(Fraction(4, 9), -8)
-    assert abs(PiExact(Fraction(-5), 2)) == PiExact(Fraction(5), 2)
-
-
-def test_pi_exact_addition_requires_matching_power():
-    with pytest.raises(PiPowerMismatchError):
-        PiExact(Fraction(1), 2) + PiExact(Fraction(1), 4)
-    # adding a plain rational only works against a pi^0 value
-    assert PiExact(Fraction(1, 2), 0) + Fraction(1, 2) == PiExact(Fraction(1), 0)
-    with pytest.raises(PiPowerMismatchError):
-        PiExact(Fraction(1, 2), 2) + Fraction(1, 2)
-    # zero is absorbed regardless of nominal power
-    assert PiExact(Fraction(1), 2) + PiExact(Fraction(0), 0) == PiExact(Fraction(1), 2)
 
 
 def test_pi_exact_rational_extraction():
@@ -352,22 +333,6 @@ def test_pi_exact_rational_extraction():
         PiExact(Fraction(7, 3), 2).as_rational()
     assert not PiExact(Fraction(7, 3), 2).is_rational
     assert PiExact(Fraction(0), 0).is_rational
-
-
-def test_pi_exact_to_float():
-    x = PiExact(Fraction(1, 6), 4)
-    assert abs(x.to_float() - math.pi ** 2 / 6) < 1e-15
-    # half powers go through sqrt(pi)
-    y = PiExact(Fraction(1), 1)
-    assert abs(y.to_float() - math.sqrt(math.pi)) < 1e-15
-
-
-def test_pi_exact_str():
-    assert str(PiExact(Fraction(1, 6), 4)) == "1/6 * pi^2"
-    assert str(PiExact(Fraction(3), 0)) == "3"
-    assert str(PiExact(Fraction(1, 4), 1)) == "1/4 * pi^(1/2)"
-    assert str(PiExact(Fraction(1), 2)) == "1 * pi"
-    assert str(PiExact(Fraction(0), 0)) == "0"
 
 
 # ---------------------------------------------------------------------------

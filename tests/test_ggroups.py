@@ -18,10 +18,9 @@ from spinchi.ggroups import (
     SpinGroupDescriptor,
     spin_order_fp,
     vol_compact_dual,
-    weyl_order,
     weyl_ratio,
 )
-from spinchi.oracles import so_order_bruteforce
+from spinchi.oracles import so_order_bruteforce, weyl_order
 from spinchi.qforms import DiagonalForm
 
 

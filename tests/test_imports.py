@@ -5,7 +5,9 @@ name somewhere in its code or in a string annotation.  ``__init__.py``
 only re-exports, and ``__future__`` imports are directives, so both are
 exempt.  A second scan keeps ``dataclasses`` to ``profinite``: generated
 classes cost about 1 ms each at import, and the runtime value types
-build on ``exactq.Value`` instead.
+build on ``exactq.Value`` instead.  Two more keep the referees apart from
+the code they check: only ``cli`` imports ``oracles``, and ``oracles``
+takes only the three Clifford types from ``clifford``, no function.
 """
 from __future__ import annotations
 
@@ -74,3 +76,37 @@ def test_only_profinite_imports_dataclasses():
                  "def f():\n    import dataclasses as dc\n"):
         assert _imports_dataclasses(ast.parse(text))
     assert not _imports_dataclasses(ast.parse("import dataclass_tools\nimport fractions"))
+
+
+def _spinchi_imports(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for each name a module takes from a spinchi module;
+    name "" for the module itself, as in ``from . import oracles``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update((a.name.partition("spinchi.")[2], "") for a in node.names
+                         if a.name.startswith("spinchi."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "spinchi"
+                                                  or (node.module or "").startswith("spinchi.")):
+            module = (node.module or "").removeprefix("spinchi").lstrip(".")
+            found.update((module, a.name) if module else (a.name, "") for a in node.names)
+    return found
+
+
+def test_only_cli_imports_oracles():
+    users = {p.name for p in MODULES
+             if any(m == "oracles" for m, _ in _spinchi_imports(ast.parse(p.read_text())))}
+    assert users == {"cli.py"}, sorted(users)
+    for text in ("from . import oracles", "from .oracles import hilbert_bruteforce",
+                 "import spinchi.oracles", "from spinchi import clifford, oracles",
+                 "from spinchi.oracles import weyl_order"):
+        assert ("oracles" in {m for m, _ in _spinchi_imports(ast.parse(text))}), text
+
+
+def test_oracles_takes_only_types_from_clifford():
+    taken = {name for module, name in _spinchi_imports(ast.parse((SRC / "oracles.py").read_text()))
+             if module == "clifford"}
+    assert taken == {"Blade", "CliffordElement", "Signature"}, sorted(taken)
+    assert _spinchi_imports(ast.parse("from .clifford import Blade, sign_mask\n"
+                                      "from . import clifford")) == {
+        ("clifford", "Blade"), ("clifford", "sign_mask"), ("clifford", "")}
