@@ -249,17 +249,21 @@ def _suite_oracles() -> None:
 
 
 def _suite_adelic() -> None:
-    for d in range(3, 13):
+    for d in range(3, 101):
         for m in range(1, d):
             n = d - m
             closed = euler_mod.chi_closed(m, n).value
-            approx = euler_mod.adelic_assembly_float(m, n)
-            assert abs(approx - closed) <= abs(closed) / 1000, \
-                f"float Euler product off at ({m},{n}): {approx}"
+            if d <= 12:
+                approx = euler_mod.adelic_assembly_float(m, n)
+                assert abs(approx - closed) <= abs(closed) / 1000, \
+                    f"float Euler product off at ({m},{n}): {approx}"
             if m % 2 and n % 2:
                 continue
-            assembled = euler_mod.adelic_assembly_exact(m, n)
-            assert closed == assembled, f"chi mismatch at ({m},{n})"
+            # d's ledger, once: A_(2i-1)/16^i for pair degree 2i, A_(l-1)/2^(l+1) for row l of 2l
+            for i, (e, _, entry) in enumerate(euler_mod.adelic_ledger(m, n) if m <= 2 else (), 1):
+                want = Fraction(exactq.zigzag(e - 1), 2 ** (e + 1) if 2 * i == d else 4 ** e)
+                assert entry == want, f"ledger row of degree {e} at ({m},{n}): {entry}, not {want}"
+            assert closed == euler_mod.adelic_assembly_exact(m, n), f"chi mismatch at ({m},{n})"
 
 
 _SUITES = {

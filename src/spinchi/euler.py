@@ -25,14 +25,20 @@ C(l, k) is all of chi's dependence on m at fixed d, and D(d) = 2^a * A_t
 (each A_i factored once), so the full value is never factored.
 
 ``adelic_assembly_exact`` recomputes chi from first principles as a
-product of local volumes: the normalized compact-dual volume, the
-2-adic congruence subgroup volume 2^(-d(d-1)), and the odd-prime Euler
-product expressed through zeta/L special values.  The pi powers must
-cancel exactly; a residual power raises ``ResidualPiPowerError`` and
-means a bug, not an input error.  Only sign * 2 C(l, k) depends on m at
-fixed d: the rest is one rational per (d, F_p type), cached on d and the
-degree tuple of ``order_degrees(m, n)``, which carries the type.
-``adelic_assembly_float`` shares the per-d factor 2^(d(d-1)) / vol and
+product of local volumes: the normalized compact-dual volume vol(d) =
+2^((3d-d^2)/2) prod_{j=2}^{d} pi^(j/2) / Gamma(j/2), the 2-adic
+congruence subgroup volume 2^(-d(d-1)), and the odd-prime Euler product
+of zeta/L special values, one factor per degree e of ``order_degrees``.
+It is held as a ledger, one rational entry per degree: the Euler factor
+of degree e over its share of 1/vol.  By Legendre duplication a pair
+degree e = 2i takes vol's factors j = 2i, 2i + 1 and leaves A_(2i-1) /
+16^i, and the typed degree e = l of even d = 2l takes j = 2l alone and
+leaves A_(l-1) / 2^(l+1), so chi = sign * 2 C(l, k) * 2^((3d^2-5d)/2) *
+prod entries.  An entry left with a power of pi raises
+``ResidualPiPowerError`` naming its degree: a bug, not an input error.
+Entries are cached per degree, and the pair entries' products per count
+as an integer over a power of 2, extended from the last one built.
+``adelic_assembly_float`` takes the factor 2^(d(d-1)) / vol whole, and
 walks the actual odd-prime Euler product up to a bound in log space: one
 sum per degree of the group order, stopping where no later term can
 change the float, cached with the primes for the last few bounds.
@@ -48,6 +54,7 @@ from .exactq import (
     FactoredInteger,
     PiExact,
     Value,
+    gamma_half,
     l_psi_exact_odd,
     primes_up_to,
     zeta_even_exact,
@@ -154,46 +161,65 @@ def chi_closed(m: int, n: int) -> EulerResult:
 # Adelic assembly
 
 
-@lru_cache(maxsize=None)
-def _odd_euler_product_exact(degrees: tuple[tuple[int, bool], ...]) -> PiExact:
-    """prod over odd p of p^(dim G) / |G(F_p)|, via zeta/L special values.
+@lru_cache(maxsize=1024)
+def _ledger_entry(e: int, twisted: bool, lone: bool) -> tuple[int, int]:
+    """(a, s): degree e's entry a / 2^s, lone for the typed degree of even d."""
+    entry = l_psi_exact_odd(e) if twisted else zeta_even_exact(e // 2) * (1 - Fraction(1, 2 ** e))
+    for j in (2 * e,) if lone else (e, e + 1):
+        entry = entry * gamma_half(j) / PiExact(Fraction(1), j)
+    entry = entry.as_rational(f"degree {e}")
+    s = entry.denominator.bit_length() - 1
+    if entry.denominator != 1 << s:
+        raise ArithmeticError(f"degree {e} leaves {entry}, not an integer over a power of 2")
+    return entry.numerator, s
 
-    ``degrees`` is ``ggroups.order_degrees(m, n)[1]``, so there is one
-    entry per (d, type).  Each degree e gives prod_p (1 - t_e(p) p^(-e))^(-1):
-    L(psi, e) where twisted, and zeta(e) (1 - 2^(-e)) otherwise (e even then).
-    """
-    out = PiExact(Fraction(1), 0)
-    for e, twisted in degrees:
-        if twisted:
-            out = out * l_psi_exact_odd(e)
-        else:
-            out = out * zeta_even_exact(e // 2) * (1 - Fraction(1, 2 ** e))
-    return out
+
+_prefix_top = 0  # last count built, a miss extends it if shorter; any value gives the same a, s
 
 
 @lru_cache(maxsize=256)
-def _dual_factor(d: int) -> PiExact:
-    """2^(d(d-1)) / vol(compact dual): the local volumes that depend on d alone."""
-    return Fraction(2) ** (d * (d - 1)) / vol_compact_dual(d)
+def _prefix(count: int) -> tuple[int, int]:
+    """(a, s): the product a / 2^s of the pair entries of degrees 2, ..., 2 count."""
+    global _prefix_top
+    start = _prefix_top if _prefix_top < count else 0
+    num, shift = _prefix(start) if start else (1, 0)
+    for i in range(start + 1, count + 1):
+        a, s = _ledger_entry(2 * i, False, False)
+        num, shift = num * a, shift + s
+    _prefix_top = count
+    return num, shift
 
 
-@lru_cache(maxsize=512)
-def _assembly_factor(d: int, degrees: tuple[tuple[int, bool], ...]) -> Fraction:
-    """``_dual_factor(d)`` times the odd-prime product, once per (d, F_p type)."""
-    return (_odd_euler_product_exact(degrees) * _dual_factor(d)).as_rational()
+def adelic_ledger(m: int, n: int) -> tuple[tuple[int, bool, Fraction], ...]:
+    """(degree e, twisted, entry) per degree of ``order_degrees(m, n)``.  m, n not both odd."""
+    if not chi_sign(m, n):
+        raise ValueError("chi = 0 for m, n both odd; no assembly defined")
+    degrees = order_degrees(m, n)[1]
+    typed = len(degrees) - 1 if (m + n) % 2 == 0 else -1  # the lone degree of even d
+    entries = [_ledger_entry(e, twisted, i == typed) for i, (e, twisted) in enumerate(degrees)]
+    return tuple((e, tw, Fraction(a, 1 << s)) for (e, tw), (a, s) in zip(degrees, entries))
 
 
 def adelic_assembly_exact(m: int, n: int) -> Fraction:
-    """chi as (-1)^(mn/2) * 2 C(l,k) * vol(dual)^-1 * 2^(d(d-1)) * Euler product.
-
-    m, n not both odd.  The pi powers cancel identically; if they do not,
-    ResidualPiPowerError propagates (an internal invariant violation).
-    """
+    """chi as (-1)^(mn/2) * 2 C(l,k) * vol(dual)^-1 * 2^(d(d-1)) * Euler product,
+    through the ``adelic_ledger`` entries.  m, n not both odd."""
     desc = SpinGroupDescriptor(m, n)
     sign = _sign(m, n)
     if not sign:
         raise ValueError("chi = 0 for m, n both odd; no assembly defined")
-    return sign * weyl_ratio(desc) * _assembly_factor(desc.d, order_degrees(m, n)[1])
+    d, l = desc.d, desc.l
+    num, shift = _prefix(l - 1 + d % 2)
+    if d % 2 == 0:
+        a, s = _ledger_entry(*order_degrees(m, n)[1][-1], True)
+        num, shift = num * a, shift + s
+    value, exp = sign * weyl_ratio(desc).numerator * num, (3 * d * d - 5 * d) // 2 - shift
+    return Fraction(value << exp) if exp >= 0 else Fraction(value, 1 << -exp)
+
+
+@lru_cache(maxsize=256)
+def _dual_factor(d: int) -> PiExact:
+    """2^(d(d-1)) / vol(compact dual): the float's local volumes of d alone."""
+    return Fraction(2) ** (d * (d - 1)) / vol_compact_dual(d)
 
 
 @lru_cache(maxsize=4)

@@ -178,11 +178,10 @@ class PiExact(Value):
     def is_rational(self) -> bool:
         return self.half_pi_power == 0
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self, what: str = "value") -> Fraction:
+        """The rational coeff; ResidualPiPowerError names ``what`` otherwise."""
         if not self.is_rational:
-            raise ResidualPiPowerError(
-                f"value carries pi^({self.half_pi_power}/2), not rational"
-            )
+            raise ResidualPiPowerError(f"{what} leaves pi^({self.half_pi_power}/2)")
         return self.coeff
 
     def __mul__(self, other: "PiExact | Scalar") -> "PiExact":

@@ -104,17 +104,20 @@ def spin_order_fp(desc: SpinGroupDescriptor, p: int) -> int:
                               for e, twisted in degrees)
 
 
-@lru_cache(maxsize=None)
+_vol_top = 2  # last d built, a miss extends it if below d; any value gives the same volume
+
+
+@lru_cache(maxsize=64)
 def vol_compact_dual(d: int) -> PiExact:
-    """Normalized volume of the compact dual group for dimension d:
-
-        2^((3d - d^2)/2) * prod_{j=2}^{d} pi^(j/2) / Gamma(j/2).
-
-    Exactly a rational times a half-integer power of pi.
-    """
+    """Normalized volume 2^((3d - d^2)/2) prod_{j=2}^{d} pi^(j/2) / Gamma(j/2)
+    of the compact dual group for dimension d, a rational times a half-integer
+    power of pi: vol(2) = 2 pi, vol(d) = vol(d - 1) 2^(2-d) pi^(d/2) / Gamma(d/2)."""
+    global _vol_top
     if d < 2:
         raise ValueError("need d >= 2")
-    out = PiExact(Fraction(2) ** ((3 * d - d * d) // 2), 0)  # d(3 - d) is even
-    for j in range(2, d + 1):
-        out = out * PiExact(Fraction(1), j) / gamma_half(j)
+    start = _vol_top if _vol_top < d else 2
+    out = vol_compact_dual(start) if start > 2 else PiExact(Fraction(2), 2)
+    for j in range(start + 1, d + 1):
+        out = out * PiExact(Fraction(2) ** (2 - j), j) / gamma_half(j)
+    _vol_top = d
     return out

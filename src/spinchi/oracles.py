@@ -13,8 +13,15 @@ against the term-by-term sums of ``product_coefficient`` (signs from
 ``is_spin_element_conjugates``, which forms every conjugate g e_i gbar.
 Criterion 6, ``spinchi verify oracles`` and the tests count |SO(F_p)|
 with ``so_order_bruteforce``.  The tests check ``ggroups.weyl_ratio``
-against quotients of ``weyl_order`` and ``exactq.gen_bernoulli_mod4``
-against the defining sum ``bernoulli_poly``.
+against quotients of ``weyl_order``, ``exactq.bernoulli`` against the
+Akiyama-Tanigawa triangle ``bernoulli_akiyama_tanigawa``, and
+``exactq.gen_bernoulli_mod4`` against the defining sum ``bernoulli_poly``,
+which reads that triangle, not the zigzag numbers of ``exactq``.  They
+check ``euler.adelic_assembly_exact``, a product of per-degree ledger
+entries, against ``adelic_assembly_direct``, the whole odd-prime Euler
+product times 2^(d(d-1)) over ``vol_compact_dual_direct``, the volume
+taken one Gamma factor at a time, where ``ggroups.vol_compact_dual``
+extends vol(d - 1).
 """
 from __future__ import annotations
 
@@ -25,7 +32,9 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .clifford import Blade, CliffordElement, Signature
-from .exactq import FactoredInteger, Scalar, bernoulli, is_prime
+from .exactq import (FactoredInteger, PiExact, Scalar, gamma_half, is_prime,
+                     l_psi_exact_odd, zeta_even_exact)
+from .ggroups import SpinGroupDescriptor, order_degrees, weyl_ratio
 from .qforms import DiagonalForm
 
 
@@ -213,15 +222,63 @@ def weyl_order(series: str, rank: int) -> int:
     raise ValueError(f"unknown series {series!r}, expected 'B' or 'D'")
 
 
+def bernoulli_akiyama_tanigawa(n_max: int) -> list[Fraction]:
+    """B_0, ..., B_n_max by the Akiyama-Tanigawa triangle, with B_1 = -1/2.
+
+    After step m the first entry of the row is B_m.  The triangle
+    natively produces B_1 = +1/2; that single value is flipped to the
+    convention of ``exactq.bernoulli``.
+    """
+    row = [Fraction(0)] * (n_max + 1)
+    out = []
+    for m in range(n_max + 1):
+        row[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(-row[0] if m == 1 else row[0])
+    return out
+
+
 def bernoulli_poly(n: int, x: Scalar) -> Fraction:
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^(n-k)."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     x = Fraction(x)
+    b = bernoulli_akiyama_tanigawa(n)
     return sum(
-        (math.comb(n, k) * bernoulli(k) * x ** (n - k) for k in range(n + 1)),
+        (math.comb(n, k) * b[k] * x ** (n - k) for k in range(n + 1)),
         start=Fraction(0),
     )
+
+
+# ---------------------------------------------------------------------------
+# The adelic assembly, as the product of its local volumes
+
+
+def vol_compact_dual_direct(d: int) -> PiExact:
+    """2^((3d - d^2)/2) * prod_{j=2}^{d} pi^(j/2) / Gamma(j/2), one j at a time."""
+    out = PiExact(Fraction(2) ** ((3 * d - d * d) // 2), 0)
+    for j in range(2, d + 1):
+        out = out * PiExact(Fraction(1), j) / gamma_half(j)
+    return out
+
+
+def adelic_assembly_direct(m: int, n: int) -> Fraction:
+    """chi as sign * 2 C(l, k) * 2^(d(d-1)) / vol * the odd-prime Euler product.
+
+    The product over the degrees e of ``order_degrees(m, n)`` of L(psi, e)
+    where twisted, else zeta(e) (1 - 2^(-e)), taken whole and made
+    rational once, with no per-degree ledger.  m, n not both odd.
+    """
+    if m % 2 and n % 2:
+        raise ValueError("chi = 0 for m, n both odd; no assembly defined")
+    desc = SpinGroupDescriptor(m, n)
+    out = PiExact(Fraction(2) ** (desc.d * (desc.d - 1)), 0) / vol_compact_dual_direct(desc.d)
+    for e, twisted in order_degrees(m, n)[1]:
+        out = out * (l_psi_exact_odd(e) if twisted
+                     else zeta_even_exact(e // 2) * (1 - Fraction(1, 2 ** e)))
+    sign = -1 if (m * n // 2) % 2 else 1
+    return sign * weyl_ratio(desc) * out.as_rational()
 
 
 # ---------------------------------------------------------------------------

@@ -21,22 +21,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .euler import EulerResult, chi_closed
+from .euler import chi_closed
+from .exactq import Value
 from .ggroups import SpinGroupDescriptor
 from .qforms import PM_RANK_LIMIT, genus_classes, genus_first_failure
 
 
-@dataclass(frozen=True)
-class CommensurabilityReport:
-    pair: tuple[SpinGroupDescriptor, SpinGroupDescriptor]
-    locally_equivalent: bool
-    witness: str
-    csp_unconditional: bool
-    csp_note: str
-    dim_mod4_consistent: bool
-    delta_consistent: bool
-    chi_both: tuple[EulerResult, EulerResult]
-    verdict: str
+class CommensurabilityReport(Value):
+    __slots__ = _fields = ("pair", "locally_equivalent", "witness", "csp_unconditional",
+                           "csp_note", "dim_mod4_consistent", "delta_consistent",
+                           "chi_both", "verdict")
 
 
 def profinitely_commensurable(m: int, n: int, m2: int, n2: int,
@@ -70,16 +64,9 @@ def profinitely_commensurable(m: int, n: int, m2: int, n2: int,
         verdict = ("locally equivalent "
                    "(commensurability conditional on congruence kernel)")
     return CommensurabilityReport(
-        pair=(first, second),
-        locally_equivalent=equal,
-        witness=witness,
-        csp_unconditional=unconditional,
-        csp_note=csp_note,
-        dim_mod4_consistent=(first.dim_x - second.dim_x) % 4 == 0,
-        delta_consistent=first.delta == second.delta,
-        chi_both=(chi_closed(m, n), chi_closed(m2, n2)),
-        verdict=verdict,
-    )
+        (first, second), equal, witness, unconditional, csp_note,
+        (first.dim_x - second.dim_x) % 4 == 0, first.delta == second.delta,
+        (chi_closed(m, n), chi_closed(m2, n2)), verdict)
 
 
 @dataclass(frozen=True)

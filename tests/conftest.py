@@ -4,10 +4,13 @@ The acceptance tests register one line per criterion; the terminal
 summary prints them after the run so `pytest -v` ends with an explicit
 PASS/FAIL line for each numbered criterion.  ``parse_factored`` reads a
 printed factorization back, so tests can multiply it out themselves.
+``cold_ledger`` empties the adelic ledger's caches around a test.
 """
 from __future__ import annotations
 
 import pytest
+
+from spinchi import euler
 
 _CRITERION_LINES: list[tuple[int, str]] = []
 
@@ -40,6 +43,17 @@ def _parse_factored(text: str) -> tuple[int, list[tuple[int, int]], list[tuple[i
 @pytest.fixture
 def parse_factored():
     return _parse_factored
+
+
+@pytest.fixture
+def cold_ledger():
+    """Empty the adelic ledger's caches before and after a test that stubs
+    a special value, so no stubbed entry outlives it."""
+    euler._ledger_entry.cache_clear()
+    euler._prefix.cache_clear()
+    yield
+    euler._ledger_entry.cache_clear()
+    euler._prefix.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -20,10 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from spinchi import cli, euler, exactq, profinite, qforms
+from spinchi import cli, euler, exactq, ggroups, profinite, qforms
 from spinchi.cli import main
 from spinchi.euler import chi_closed
-from spinchi.exactq import FactoredInteger, ResidualPiPowerError
+from spinchi.exactq import FactoredInteger, PiExact, ResidualPiPowerError, zeta_even_exact
 
 
 def run(capsys, *argv):
@@ -240,25 +240,46 @@ def test_profile_past_the_decimal_digit_limit(capsys):
     assert len(want) > 4300 and betti == want
 
 
-_DISAGREEING = [  # (what is patched, a stub that disagrees, its suite, its FAIL message)
-    ("spinchi.exactq.gen_bernoulli_mod4", lambda ell: Fraction(1), "exactq",
-     "L identity failed at ell=1"),
-    ("spinchi.oracles.product_coefficient", lambda x, y, b: None, "clifford", "dense product over "),
-    ("spinchi.oracles.hasse_pairwise", lambda entries, v: 0, "oracles", "Hasse invariant of <"),
-    ("spinchi.oracles.witt_index_peel", lambda entries, v: -1, "oracles", "Witt index of <"),
-    ("spinchi.oracles.qp_equivalent_pairwise", lambda f, g, v: None, "oracles", "equivalence of <"),
-    ("spinchi.euler.adelic_assembly_float", lambda m, n: 0.0, "adelic",
-     "float Euler product off at (1,2): 0.0"),
-]
+def _zeta_6_doubled(j):
+    return zeta_even_exact(j) * (2 if j == 3 else 1)
 
 
-@pytest.mark.parametrize("target, stub, suite, message", _DISAGREEING,
-                         ids=[case[0].rsplit(".", 1)[1] for case in _DISAGREEING])
-def test_verify_reports_a_failed_check(capsys, monkeypatch, target, stub, suite, message):
+def _zeta_6_with_half_pi(j):
+    value = zeta_even_exact(j)
+    return PiExact(value.coeff, value.half_pi_power + (j == 3))
+
+
+_DISAGREEING = {  # id: (what is patched, a stub that disagrees, its suite, how verify reports it)
+    "gen_bernoulli_mod4": ("spinchi.exactq.gen_bernoulli_mod4", lambda ell: Fraction(1), "exactq",
+                           "FAIL exactq: L identity failed at ell=1"),
+    "product_coefficient": ("spinchi.oracles.product_coefficient", lambda x, y, b: None,
+                            "clifford", "FAIL clifford: dense product over "),
+    "hasse_pairwise": ("spinchi.oracles.hasse_pairwise", lambda entries, v: 0, "oracles",
+                       "FAIL oracles: Hasse invariant of <"),
+    "witt_index_peel": ("spinchi.oracles.witt_index_peel", lambda entries, v: -1, "oracles",
+                        "FAIL oracles: Witt index of <"),
+    "qp_equivalent_pairwise": ("spinchi.oracles.qp_equivalent_pairwise", lambda f, g, v: None,
+                               "oracles", "FAIL oracles: equivalence of <"),
+    "adelic_assembly_float": ("spinchi.euler.adelic_assembly_float", lambda m, n: 0.0, "adelic",
+                              "FAIL adelic: float Euler product off at (1,2): 0.0"),
+    # zeta(6) first feeds the pair degree 6 at (1,6)
+    "zeta_6_doubled": ("spinchi.euler.zeta_even_exact", _zeta_6_doubled, "adelic",
+                       "FAIL adelic: ledger row of degree 6 at (1,6): 1/128, not 1/256"),
+    "zeta_6_with_half_pi": ("spinchi.euler.zeta_even_exact", _zeta_6_with_half_pi, "adelic",
+                            "internal invariant failure: degree 6 leaves pi^(1/2)\n"),
+}
+
+
+@pytest.mark.parametrize("target, stub, suite, report", list(_DISAGREEING.values()),
+                         ids=list(_DISAGREEING))
+def test_verify_reports_a_failed_check(capsys, monkeypatch, cold_ledger,
+                                      target, stub, suite, report):
+    # A failed check prints a FAIL line; an internal invariant failure
+    # prints nothing on stdout and its message on stderr.  Both exit 3.
     monkeypatch.setattr(target, stub)
-    code, out, _ = run(capsys, "verify", suite)
+    code, out, err = run(capsys, "verify", suite)
     assert code == 3
-    assert out.startswith(f"FAIL {suite}: {message}"), out
+    assert out.startswith(report) if out else err == report, (out, err)
 
 
 def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
@@ -316,8 +337,8 @@ def test_memo_caches_are_bounded(capsys):
     assert main(["verify", "oracles"]) == 0 and main(["verify", "adelic"]) == 0
     capsys.readouterr()
     for cache in (qforms._key, qforms._prime_divisors, qforms._place,
-                  euler._dual_factor, euler._assembly_factor,
-                  euler._odd_primes, euler._degree_log_sum):
+                  euler._ledger_entry, euler._prefix, euler._dual_factor,
+                  ggroups.vol_compact_dual, euler._odd_primes, euler._degree_log_sum):
         info = cache.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize, info
 

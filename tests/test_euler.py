@@ -9,11 +9,12 @@ over primes.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from spinchi import euler, ggroups
+from spinchi import euler, ggroups, oracles
 from spinchi.euler import (
     CASE_0MOD4,
     CASE_2MOD4,
@@ -21,6 +22,7 @@ from spinchi.euler import (
     CASE_ZERO,
     adelic_assembly_exact,
     adelic_assembly_float,
+    adelic_ledger,
     chi_closed,
     chi_direct_product,
     chi_free_product,
@@ -31,14 +33,16 @@ from spinchi.euler import (
     s_arithmetic_sign,
 )
 from spinchi.exactq import (
+    PiExact,
     ResidualPiPowerError,
     euler_number,
     format_factored,
     is_prime,
     primes_up_to,
     zeta_negative_odd,
+    zigzag,
 )
-from spinchi.ggroups import SpinGroupDescriptor, order_degrees, spin_order_fp
+from spinchi.ggroups import SpinGroupDescriptor, order_degrees, spin_order_fp, vol_compact_dual
 
 
 def _odd_product(l: int) -> Fraction:
@@ -191,32 +195,103 @@ def test_chi_symmetry_and_sign_consistency():
 # adelic assembly
 # ---------------------------------------------------------------------------
 
+def _signatures(d_max: int):
+    """Every (m, n) with 3 <= m + n <= d_max, m and n not both odd."""
+    return [(m, d - m) for d in range(3, d_max + 1) for m in range(1, d)
+            if not (m % 2 and (d - m) % 2)]
+
+
 def test_adelic_assembly_matches_closed_formula():
-    for d in range(3, 41):
-        for m in range(1, d):
-            n = d - m
-            if m % 2 and n % 2:
-                continue
-            assert adelic_assembly_exact(m, n) == chi_closed(m, n).value, (m, n)
+    for m, n in _signatures(100):
+        assert adelic_assembly_exact(m, n) == chi_closed(m, n).value, (m, n)
 
 
-def test_assembly_factor_built_once_per_dimension_and_type(monkeypatch):
-    # Only sign * 2 C(l, k) depends on m at fixed d: the odd-prime product
-    # is taken once per (d, F_p type), 2^(d(d-1)) / vol once per d.
-    odd, vol, built = euler._odd_euler_product_exact, euler.vol_compact_dual, []
-    monkeypatch.setattr(euler, "_odd_euler_product_exact",
-                        lambda degrees: built.append(degrees) or odd(degrees))
-    monkeypatch.setattr(euler, "vol_compact_dual", lambda d: built.append(d) or vol(d))
-    euler._assembly_factor.cache_clear()
+def test_ledger_matches_the_direct_referee():
+    # The referee takes the whole Euler product over the j-loop volume and
+    # makes it rational once; the ledger makes each degree rational alone.
+    for m, n in _signatures(40):
+        assert adelic_assembly_exact(m, n) == oracles.adelic_assembly_direct(m, n), (m, n)
+
+
+def test_ledger_rows_are_the_closed_formula_factors():
+    # pair degree e = 2i: A_(2i-1) / 16^i; typed degree e = l of d = 2l:
+    # A_(l-1) / 2^(l+1); with the sign, 2 C(l, k) and 2^((3d^2 - 5d)/2)
+    # their product is chi
+    for m, n in _signatures(40):
+        d, rows = m + n, adelic_ledger(m, n)
+        assert [e for e, _, _ in rows] == [e for e, _ in order_degrees(m, n)[1]]
+        for i, (e, _, entry) in enumerate(rows, 1):
+            typed = d % 2 == 0 and i == len(rows)
+            assert entry == Fraction(zigzag(e - 1), 2 ** (e + 1) if typed else 4 ** e), (m, n, e)
+        product = math.prod((entry for _, _, entry in rows), start=Fraction(1))
+        lead = chi_sign(m, n) * 2 * math.comb(d // 2, m // 2)
+        assert lead * 2 ** ((3 * d * d - 5 * d) // 2) * product == chi_closed(m, n).value
+
+
+def test_ledger_entries_built_once_and_volume_takes_one_factor_per_d(monkeypatch, cold_ledger):
+    # Each entry is built once, whatever the signature that first asks for
+    # it, and vol_compact_dual(d) extends vol(d - 1) by one Gamma factor.
+    built, factors = [], []
+    for name in ("zeta_even_exact", "l_psi_exact_odd"):
+        special = getattr(euler, name)
+        monkeypatch.setattr(euler, name, lambda x, f=special: built.append(x) or f(x))
+    gamma = ggroups.gamma_half
+    monkeypatch.setattr(ggroups, "gamma_half", lambda j: factors.append(j) or gamma(j))
+    ggroups.vol_compact_dual.cache_clear()
     euler._dual_factor.cache_clear()
     for d in range(3, 41):
-        built.clear()
         for m in range(1, d):
             if not (m % 2 and (d - m) % 2):
                 adelic_assembly_exact(m, d - m)
+                adelic_ledger(m, d - m)
                 if d <= 24:
                     adelic_assembly_float(m, d - m, 1000)
-        assert len([b for b in built if b != d]) <= 2 and built.count(d) <= 1, (d, built)
+        vol_compact_dual(d)
+    info = euler._ledger_entry.cache_info()
+    # 19 pair degrees 2..38 and 19 typed degrees 2..20, each built once
+    assert info.misses == info.currsize == len(built) == 38, (info, built)
+    assert euler._prefix.cache_info().misses == 19
+    assert factors == list(range(3, 41))
+
+
+def test_cached_ledger_equals_a_cold_recomputation():
+    # entries are (a, s) for a / 2^s; rows show them as fractions
+    for m, n in _signatures(40):
+        rows = adelic_ledger(m, n)
+        for i, (e, twisted, entry) in enumerate(rows, 1):
+            key = (e, twisted, (m + n) % 2 == 0 and i == len(rows))
+            a, s = euler._ledger_entry(*key)
+            assert (a, s) == euler._ledger_entry.__wrapped__(*key), (m, n, e)
+            assert entry == Fraction(a, 2 ** s), (m, n, e)
+    for count in range(20):
+        num, shift = euler._prefix(count)
+        pairs = (euler._ledger_entry.__wrapped__(2 * i, False, False) for i in range(1, count + 1))
+        assert Fraction(num, 2 ** shift) == math.prod((Fraction(a, 2 ** s) for a, s in pairs),
+                                                      start=Fraction(1)), count
+    for d in range(2, 41):
+        assert vol_compact_dual(d) == oracles.vol_compact_dual_direct(d), d
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_cold_calls_recurse_a_bounded_depth(cold_ledger):
+    # A cold assembly at d = 300 and a cold vol(300) need 150 prefixes and
+    # 298 volume factors; under a recursion limit 60 frames above the
+    # caller, neither may recurse once per degree.
+    want_chi, want_vol = chi_closed(298, 2).value, oracles.vol_compact_dual_direct(300)
+    ggroups.vol_compact_dual.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        assert adelic_assembly_exact(298, 2) == want_chi
+        assert vol_compact_dual(300) == want_vol
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_float_assembly_caches_stay_bounded_over_a_prime_bound_sweep():
@@ -239,6 +314,8 @@ def test_float_assembly_caches_stay_bounded_over_a_prime_bound_sweep():
 def test_adelic_assembly_rejects_both_odd():
     with pytest.raises(ValueError):
         adelic_assembly_exact(3, 3)
+    with pytest.raises(ValueError):
+        adelic_ledger(3, 3)
 
 
 def test_adelic_assembly_float_tracks_exact():
@@ -307,19 +384,23 @@ def test_degree_log_sum_equals_the_full_walk():
                 assert euler._degree_log_sum(e, twisted, bound) == total, (e, twisted, bound)
 
 
-def test_odd_euler_product_cached_per_dimension_and_type():
-    for d in range(3, 27):
-        for m in range(1, d):
-            n = d - m
-            if m % 2 and n % 2:
-                continue
-            degrees = order_degrees(m, n)[1]
-            fresh = euler._odd_euler_product_exact.__wrapped__(degrees)
-            assert euler._odd_euler_product_exact(degrees) == fresh, (m, n)
+def test_a_wrong_special_value_is_named_by_its_degree(monkeypatch, cold_ledger):
+    # zeta(6) feeds the pair degree 6 first at d = 7: an extra half power
+    # of pi is refused there, and a doubled value shows in that row alone.
+    zeta = euler.zeta_even_exact
+    monkeypatch.setattr(euler, "zeta_even_exact",
+                        lambda j: PiExact(zeta(j).coeff, zeta(j).half_pi_power + (j == 3)))
+    with pytest.raises(ResidualPiPowerError, match=r"^degree 6 leaves pi\^\(1/2\)$"):
+        adelic_assembly_exact(1, 6)
+    euler._ledger_entry.cache_clear()
+    monkeypatch.setattr(euler, "zeta_even_exact", lambda j: zeta(j) * (2 if j == 3 else 1))
+    rows = adelic_ledger(1, 6)
+    assert [entry for _, _, entry in rows] == [Fraction(1, 16), Fraction(1, 128), Fraction(1, 128)]
+    assert adelic_assembly_exact(1, 6) == 2 * chi_closed(1, 6).value
 
 
 def test_only_an_odd_typed_degree_is_twisted():
-    # _odd_euler_product_exact reads zeta(e) at e // 2 for every untwisted
+    # _ledger_entry reads zeta(e) at e // 2 for every untwisted
     # degree and L(psi, e) for a twisted one.  Even d with chi != 0 forces
     # m, n even, so twisted <=> n + l odd <=> l odd.
     for d in range(3, 41):

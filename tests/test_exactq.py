@@ -1,10 +1,10 @@
 """Tests for the exact rational layer: Bernoulli and Euler numbers,
 special values of zeta and the quartic L-function, the pi-power
 bookkeeping type, integer factoring, and the contract of ``Value``, the
-immutable base of the ten runtime value types.
+immutable base of the eleven runtime value types.
 
 Every table in the library is checked against an independent oracle:
-Bernoulli numbers against the Akiyama-Tanigawa scheme, zeta and L
+Bernoulli numbers against the Akiyama-Tanigawa scheme (in ``oracles``), zeta and L
 values against truncated Dirichlet series evaluated in floating point,
 and factoring against plain multiplication.
 """
@@ -44,7 +44,8 @@ from spinchi.exactq import (
     zigzag,
 )
 from spinchi.ggroups import SpinGroupDescriptor
-from spinchi.oracles import bernoulli_poly
+from spinchi.oracles import bernoulli_akiyama_tanigawa, bernoulli_poly
+from spinchi.profinite import CommensurabilityReport, profinitely_commensurable
 from spinchi.qforms import (DiagonalForm, LocalInvariants, Place, hasse_invariant,
                             local_invariants)
 
@@ -52,23 +53,6 @@ from spinchi.qforms import (DiagonalForm, LocalInvariants, Place, hasse_invarian
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
-
-def bernoulli_akiyama_tanigawa(n_max: int) -> list[Fraction]:
-    """B_0, ..., B_n_max by the Akiyama-Tanigawa triangle.
-
-    After step m the first entry of the row is B_m.  The triangle
-    natively produces the B_1 = +1/2 convention; the library uses
-    B_1 = -1/2, so the caller must flip that single value.
-    """
-    row = [Fraction(0)] * (n_max + 1)
-    out = []
-    for m in range(n_max + 1):
-        row[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-        out.append(row[0])
-    return out
-
 
 def zeta_series_float(s: int, terms: int) -> float:
     """zeta(s) for integer s >= 2 by direct summation.
@@ -109,8 +93,6 @@ def pi_exact_to_mpf(x: PiExact) -> mpmath.mpf:
 
 def test_bernoulli_matches_akiyama_tanigawa():
     for n, expected in enumerate(bernoulli_akiyama_tanigawa(120)):
-        if n == 1:
-            expected = -expected
         assert bernoulli(n) == expected, n
 
 
@@ -561,6 +543,7 @@ VALUES = {
     EulerResult: lambda: chi_closed(8, 2),
     L2Profile: lambda: l2_profile(3, 3),
     SArithmeticSign: lambda: s_arithmetic_sign(3, 3, (2, 5)),
+    CommensurabilityReport: lambda: profinitely_commensurable(8, 2, 4, 6),
 }
 
 

@@ -3,9 +3,10 @@
 A stdlib ``ast`` scan: a module's imported names must each appear as a
 name somewhere in its code or in a string annotation.  ``__init__.py``
 only re-exports, and ``__future__`` imports are directives, so both are
-exempt.  A second scan keeps ``dataclasses`` to ``profinite``: generated
-classes cost about 1 ms each at import, and the runtime value types
-build on ``exactq.Value`` instead.  Two more keep the referees apart from
+exempt.  A second scan keeps ``dataclasses`` to ``profinite``, and there
+to the two reports ``bench/selftest.py`` corrupts: generated classes
+cost about 1 ms each at import, and the runtime value types build on
+``exactq.Value`` instead.  Two more keep the referees apart from
 the code they check: only ``cli`` imports ``oracles``, and ``oracles``
 takes only the three Clifford types from ``clifford``, no function.
 """
@@ -76,6 +77,26 @@ def test_only_profinite_imports_dataclasses():
                  "def f():\n    import dataclasses as dc\n"):
         assert _imports_dataclasses(ast.parse(text))
     assert not _imports_dataclasses(ast.parse("import dataclass_tools\nimport fractions"))
+
+
+def _dataclass_names(tree: ast.Module) -> set[str]:
+    """The classes decorated with ``dataclass`` or ``dataclass(...)``."""
+    def is_dataclass(node: ast.expr) -> bool:
+        node = node.func if isinstance(node, ast.Call) else node
+        return (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None) == "dataclass"
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(is_dataclass(d) for d in node.decorator_list)}
+
+
+def test_profinite_keeps_only_the_dataclasses_selftest_replaces():
+    # bench/selftest.py corrupts SweepReport and ChiMismatchPair with
+    # dataclasses.replace; CommensurabilityReport is an exactq.Value.
+    tree = ast.parse((SRC / "profinite.py").read_text())
+    assert _dataclass_names(tree) == {"SweepReport", "ChiMismatchPair"}
+    assert _dataclass_names(ast.parse(
+        "@dataclass(frozen=True)\nclass A: pass\n@dataclasses.dataclass\nclass B: pass\n"
+        "@cache\nclass C: pass\n")) == {"A", "B"}
 
 
 def _spinchi_imports(tree: ast.Module) -> set[tuple[str, str]]:
