@@ -1,8 +1,9 @@
 """Command-line front end.  JSON by default, --pretty / --csv opt-in.
 
 Exit codes: 0 success, 1 stdout closed early (a broken pipe, as in
-``| head``), 2 argument or domain validation error, 3 internal invariant
-failure (residual pi power, 2-adic integrality, failed verify suite).
+``| head``), 2 argument or domain error (ValueError, ZeroDivisionError),
+3 internal invariant failure (a failed verify suite or another ArithmeticError:
+a residual pi power, or a value not integral where it must be).
 All exact values are emitted as strings so nothing is rounded.
 """
 from __future__ import annotations
@@ -17,7 +18,6 @@ from fractions import Fraction
 
 from . import clifford, exactq, ggroups, oracles, profinite, qforms
 from . import euler as euler_mod
-from .exactq import ResidualPiPowerError
 
 
 def _l2_record(prof: euler_mod.L2Profile, betti_value: str) -> dict:
@@ -359,13 +359,12 @@ def main(argv=None) -> int:
         # The reader left: point stdout at devnull so the last flush cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ResidualPiPowerError, clifford.TwoAdicIntegralityError,
-            AssertionError) as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        print(f"internal invariant failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,17 +6,17 @@ inversions of the concatenation plus one -1 per repeated index with
 negative square; a product folds both into one sign mask per left blade
 J, so each term costs an AND and a popcount.
 
-Z, Q, F_p, Z/N and dual numbers share one coefficient protocol
-(``CoefficientRing``): elements are Python numbers, or ``Dual`` pairs of
-them, combined with their own +, - and *.  The ring's ``from_int`` maps
-any such result to its one stored form, and ``CliffordElement`` applies
-it once, in its constructor, before dropping zeros; so a product sums
-raw terms per output blade and is reduced once.
+Z, Q, F_p and Z/N share one coefficient protocol (``CoefficientRing``):
+elements combine with their own +, - and *, and the ring's ``from_int``
+maps any result to its one stored form.  ``CliffordElement`` applies it
+once, in its constructor, before dropping zeros; so a product sums raw
+terms per output blade and is reduced once.  Nothing else is assumed, so
+a ring of pairs, such as ``oracles.DualNumbers``, runs the same code.
 
 Over Z, Z/N and F_p (rings whose ``zero`` is an int, and which store
 every element as an int) a product with at least ``PACKED_MIN_TERMS``
 term products, whose denser operand fills at least a quarter of the 2^d
-blades, runs the packed kernel; every other product (Q, dual numbers,
+blades, runs the packed kernel; every other product (Q, rings of pairs,
 sparse operands) runs the sign-mask loop.  The kernel walks the sparser
 operand x and packs the denser one, y; when x is the right operand it
 computes x y as the reversal of rev(y) rev(x).  y becomes two
@@ -47,7 +47,6 @@ division can cost, so the result reduced mod 2^bits is exact.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -214,8 +213,7 @@ class CoefficientRing:
     such result, or an int, to the ring's one stored form, so equality of
     stored forms is equality in the ring.  A ring whose ``zero`` is an
     int stores every element as an int, which the packed product relies
-    on.  ``ann2_generators`` returns generators of {a : 2a = 0}; that is
-    what the even Clifford Lie algebra needs beyond the grade-2 part.
+    on.
     """
 
     name = "ring"
@@ -224,9 +222,6 @@ class CoefficientRing:
 
     def from_int(self, k):
         raise NotImplementedError
-
-    def ann2_generators(self) -> tuple:
-        return ()
 
     def __eq__(self, other) -> bool:
         # structural: two Z/8 instances are the same ring
@@ -281,10 +276,6 @@ class ModularRing(CoefficientRing):
     def from_int(self, k):
         return (k if type(k) is int else _integral(k)) % self.modulus
 
-    def ann2_generators(self):
-        # a with 2a = 0: generated by modulus/2 when the modulus is even
-        return () if self.modulus % 2 else (self.modulus // 2,)
-
 
 class PrimeField(ModularRing):
     """F_p = Z/p, elements stored as ints in [0, p)."""
@@ -295,51 +286,6 @@ class PrimeField(ModularRing):
         super().__init__(p)
         self.p = p
         self.name = f"F_{p}"
-
-
-class Dual(tuple):
-    """a + eps*b with eps^2 = 0, stored as the pair (a, b)."""
-
-    __slots__ = ()
-
-    def __new__(cls, a, b):
-        return tuple.__new__(cls, (a, b))
-
-    def __add__(self, other):
-        return Dual(self[0] + other[0], self[1] + other[1])
-
-    def __sub__(self, other):
-        return Dual(self[0] - other[0], self[1] - other[1])
-
-    def __neg__(self):
-        return Dual(-self[0], -self[1])
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self[0] * other[0], self[0] * other[1] + self[1] * other[0])
-        return Dual(self[0] * other, self[1] * other)
-
-    __rmul__ = __mul__
-
-
-class DualNumbers(CoefficientRing):
-    """base[eps]/(eps^2); elements are ``Dual`` pairs (a, b) meaning a + eps*b."""
-
-    def __init__(self, base: CoefficientRing):
-        self.base = base
-        self.name = f"{base.name}[eps]"
-        self.zero = Dual(base.zero, base.zero)
-        self.one = Dual(base.one, base.zero)
-
-    def from_int(self, k):
-        """Reduce both parts of a pair (a, b), or read an int k as (k, 0)."""
-        a, b = k if isinstance(k, tuple) else (k, 0)
-        return Dual(self.base.from_int(a), self.base.from_int(b))
-
-    def ann2_generators(self):
-        z = self.base.zero
-        gens = self.base.ann2_generators()
-        return tuple(Dual(g, z) for g in gens) + tuple(Dual(z, g) for g in gens)
 
 
 ZZ = IntegerRing()
@@ -483,7 +429,7 @@ class CliffordElement:
 
 
 # ---------------------------------------------------------------------------
-# Spin condition and Lie algebra
+# Spin condition
 
 
 def is_spin_element(g: CliffordElement) -> bool:
@@ -528,29 +474,6 @@ def is_spin_element(g: CliffordElement) -> bool:
         if [canon(sum(map(mul, w, col), zero)) for col in columns] != u:
             return False
     return True
-
-
-def lie_algebra_basis(sig: Signature, ring: CoefficientRing) -> list[CliffordElement]:
-    """Spanning set of the Lie algebra of the spin group over the ring.
-
-    All grade-2 blades, plus a * e(J) for each generator a of the
-    2-torsion of the ring and each even blade of grade != 2.  Over rings
-    without 2-torsion (Z, Q, F_p for odd p) the grade-2 part is all of it.
-    """
-    out = [CliffordElement.blade(sig, ring, blade_from_indices([i, j]))
-           for i, j in itertools.combinations(range(1, sig.d + 1), 2)]
-    torsion = ring.ann2_generators()
-    if torsion:
-        for blade in range(1 << sig.d):
-            card = blade.bit_count()
-            if card % 2 == 0 and card != 2:
-                for a in torsion:
-                    out.append(CliffordElement.blade(sig, ring, blade, a))
-    return out
-
-
-def bracket(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    return x * y - y * x
 
 
 # ---------------------------------------------------------------------------

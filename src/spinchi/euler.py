@@ -57,6 +57,7 @@ from .exactq import (
     gamma_half,
     l_psi_exact_odd,
     primes_up_to,
+    running,
     zeta_even_exact,
     zigzag,
 )
@@ -174,20 +175,11 @@ def _ledger_entry(e: int, twisted: bool, lone: bool) -> tuple[int, int]:
     return entry.numerator, s
 
 
-_prefix_top = 0  # last count built, a miss extends it if shorter; any value gives the same a, s
-
-
-@lru_cache(maxsize=256)
-def _prefix(count: int) -> tuple[int, int]:
+@running((1, 0), 0, 256)
+def _prefix(product: tuple[int, int], count: int) -> tuple[int, int]:
     """(a, s): the product a / 2^s of the pair entries of degrees 2, ..., 2 count."""
-    global _prefix_top
-    start = _prefix_top if _prefix_top < count else 0
-    num, shift = _prefix(start) if start else (1, 0)
-    for i in range(start + 1, count + 1):
-        a, s = _ledger_entry(2 * i, False, False)
-        num, shift = num * a, shift + s
-    _prefix_top = count
-    return num, shift
+    a, s = _ledger_entry(2 * count, False, False)
+    return product[0] * a, product[1] + s
 
 
 def adelic_ledger(m: int, n: int) -> tuple[tuple[int, bool, Fraction], ...]:

@@ -21,6 +21,8 @@ powers of pi, and factored integers.  This module provides those scalars:
 * ``decimal_str``: the decimal digits of an integer of any size.
 * ``Value``: the immutable base of the runtime value types, written by
   hand: a generated frozen class ``exec``s six methods at import, ~1 ms.
+* ``running``: a bounded cache of f(n) = step(f(n - 1), n) whose misses
+  extend the last n built, so a rising run of calls takes each step once.
 
 All functions are pure; memoization uses ``functools.lru_cache`` (safe
 under CPython threading).
@@ -78,6 +80,31 @@ class Value:
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
+
+
+def running(first, start: int, maxsize: int):
+    """Decorator: an ``lru_cache`` of ``maxsize`` for f(start) = first,
+    f(n) = step(f(n - 1), n).  A miss above the last n built extends that
+    n's value, read through the cache (an evicted one is rebuilt), and any
+    other miss starts at ``start``: any last n gives the same f(n), and a
+    miss recurses at most once.  n < start raises ValueError."""
+    def decorate(step):
+        top = start
+        def f(n: int):
+            nonlocal top
+            if n < start:
+                raise ValueError(f"{step.__name__} needs n >= {start}, got {n}")
+            base = top if top < n else start
+            out = cached(base) if base > start else first
+            for i in range(base + 1, n + 1):
+                out = step(out, i)
+            top = n
+            return out
+        f.__module__, f.__name__, f.__qualname__, f.__doc__ = (
+            step.__module__, step.__name__, step.__qualname__, step.__doc__)
+        cached = lru_cache(maxsize)(f)
+        return cached
+    return decorate
 
 
 # ---------------------------------------------------------------------------

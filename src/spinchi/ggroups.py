@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
-from .exactq import PiExact, Value, gamma_half, is_prime
+from .exactq import PiExact, Value, gamma_half, is_prime, running
 from .qforms import DiagonalForm, fp_type_twisted
 
 
@@ -104,20 +103,9 @@ def spin_order_fp(desc: SpinGroupDescriptor, p: int) -> int:
                               for e, twisted in degrees)
 
 
-_vol_top = 2  # last d built, a miss extends it if below d; any value gives the same volume
-
-
-@lru_cache(maxsize=64)
-def vol_compact_dual(d: int) -> PiExact:
+@running(PiExact(Fraction(2), 2), 2, 64)
+def vol_compact_dual(vol: PiExact, d: int) -> PiExact:
     """Normalized volume 2^((3d - d^2)/2) prod_{j=2}^{d} pi^(j/2) / Gamma(j/2)
     of the compact dual group for dimension d, a rational times a half-integer
     power of pi: vol(2) = 2 pi, vol(d) = vol(d - 1) 2^(2-d) pi^(d/2) / Gamma(d/2)."""
-    global _vol_top
-    if d < 2:
-        raise ValueError("need d >= 2")
-    start = _vol_top if _vol_top < d else 2
-    out = vol_compact_dual(start) if start > 2 else PiExact(Fraction(2), 2)
-    for j in range(start + 1, d + 1):
-        out = out * PiExact(Fraction(2) ** (2 - j), j) / gamma_half(j)
-    _vol_top = d
-    return out
+    return vol * PiExact(Fraction(2) ** (2 - d), d) / gamma_half(d)

@@ -21,7 +21,9 @@ check ``euler.adelic_assembly_exact``, a product of per-degree ledger
 entries, against ``adelic_assembly_direct``, the whole odd-prime Euler
 product times 2^(d(d-1)) over ``vol_compact_dual_direct``, the volume
 taken one Gamma factor at a time, where ``ggroups.vol_compact_dual``
-extends vol(d - 1).
+extends vol(d - 1).  The tests probe tangent vectors over ``DualNumbers``:
+1 + eps X is spin for X in the span of ``lie_algebra_basis``, whose
+torsion part is ``two_torsion``'s; ``bracket`` is x y - y x.
 """
 from __future__ import annotations
 
@@ -31,14 +33,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .clifford import Blade, CliffordElement, Signature
+from .clifford import Blade, CliffordElement, CoefficientRing, Signature
 from .exactq import (FactoredInteger, PiExact, Scalar, gamma_half, is_prime,
                      l_psi_exact_odd, zeta_even_exact)
 from .ggroups import SpinGroupDescriptor, order_degrees, weyl_ratio
 from .qforms import DiagonalForm
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _squares_mod(modulus: int) -> frozenset[int]:
     return frozenset(x * x % modulus for x in range(modulus))
 
@@ -411,3 +413,75 @@ def is_spin_element_conjugates(g: CliffordElement) -> bool:
         if any(b.bit_count() != 1 for b in h.coeffs):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Tangent vectors: dual numbers and the Lie algebra of the spin group
+
+
+class Dual(tuple):
+    """a + eps*b with eps^2 = 0, stored as the pair (a, b)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b):
+        return tuple.__new__(cls, (a, b))
+
+    def __add__(self, other):
+        return Dual(self[0] + other[0], self[1] + other[1])
+
+    def __sub__(self, other):
+        return Dual(self[0] - other[0], self[1] - other[1])
+
+    def __neg__(self):
+        return Dual(-self[0], -self[1])
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            return Dual(self[0] * other[0], self[0] * other[1] + self[1] * other[0])
+        return Dual(self[0] * other, self[1] * other)
+
+    __rmul__ = __mul__
+
+
+class DualNumbers(CoefficientRing):
+    """base[eps]/(eps^2); elements are ``Dual`` pairs (a, b) meaning a + eps*b."""
+
+    def __init__(self, base: CoefficientRing):
+        self.base = base
+        self.name = f"{base.name}[eps]"
+        self.zero = Dual(base.zero, base.zero)
+        self.one = Dual(base.one, base.zero)
+
+    def from_int(self, k):
+        """Reduce both parts of a pair (a, b), or read an int k as (k, 0)."""
+        a, b = k if isinstance(k, tuple) else (k, 0)
+        return Dual(self.base.from_int(a), self.base.from_int(b))
+
+
+def two_torsion(ring: CoefficientRing) -> tuple:
+    """Generators of {a : 2a = 0}: N/2 in Z/N for even N, none in Z or Q."""
+    if isinstance(ring, DualNumbers):
+        z, gens = ring.base.zero, two_torsion(ring.base)
+        return tuple(Dual(g, z) for g in gens) + tuple(Dual(z, g) for g in gens)
+    modulus = getattr(ring, "modulus", 1)  # Z and Q have none
+    return () if modulus % 2 else (modulus // 2,)
+
+
+def lie_algebra_basis(sig: Signature, ring: CoefficientRing) -> list[CliffordElement]:
+    """Spanning set of the Lie algebra of the spin group over the ring.
+
+    All grade-2 blades, plus a * e(J) for each generator a of the
+    2-torsion of the ring and each even blade of grade != 2.  Over rings
+    without 2-torsion (Z, Q, F_p for odd p) the grade-2 part is all of it.
+    """
+    out = [CliffordElement.blade(sig, ring, 1 << i | 1 << j)
+           for i, j in itertools.combinations(range(sig.d), 2)]
+    for a in two_torsion(ring):
+        out += [CliffordElement.blade(sig, ring, blade, a) for blade in range(1 << sig.d)
+                if blade.bit_count() % 2 == 0 and blade.bit_count() != 2]
+    return out
+
+
+def bracket(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    return x * y - y * x

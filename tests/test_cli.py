@@ -244,6 +244,10 @@ def _zeta_6_doubled(j):
     return zeta_even_exact(j) * (2 if j == 3 else 1)
 
 
+def _zeta_6_over_3(j):
+    return zeta_even_exact(j) * Fraction(1, 3 if j == 3 else 1)
+
+
 def _zeta_6_with_half_pi(j):
     value = zeta_even_exact(j)
     return PiExact(value.coeff, value.half_pi_power + (j == 3))
@@ -267,6 +271,9 @@ _DISAGREEING = {  # id: (what is patched, a stub that disagrees, its suite, how 
                        "FAIL adelic: ledger row of degree 6 at (1,6): 1/128, not 1/256"),
     "zeta_6_with_half_pi": ("spinchi.euler.zeta_even_exact", _zeta_6_with_half_pi, "adelic",
                             "internal invariant failure: degree 6 leaves pi^(1/2)\n"),
+    "zeta_6_over_3": ("spinchi.euler.zeta_even_exact", _zeta_6_over_3, "adelic",
+                      "internal invariant failure: degree 6 leaves 1/768, "
+                      "not an integer over a power of 2\n"),
 }
 
 

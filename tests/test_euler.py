@@ -316,6 +316,8 @@ def test_adelic_assembly_rejects_both_odd():
         adelic_assembly_exact(3, 3)
     with pytest.raises(ValueError):
         adelic_ledger(3, 3)
+    with pytest.raises(ValueError):
+        oracles.adelic_assembly_direct(3, 3)
 
 
 def test_adelic_assembly_float_tracks_exact():

@@ -8,7 +8,14 @@ to the two reports ``bench/selftest.py`` corrupts: generated classes
 cost about 1 ms each at import, and the runtime value types build on
 ``exactq.Value`` instead.  Two more keep the referees apart from
 the code they check: only ``cli`` imports ``oracles``, and ``oracles``
-takes only the three Clifford types from ``clifford``, no function.
+takes only the four Clifford types from ``clifford``, no function.
+
+Two guards keep the runtime's state bounded.  Every cache has a finite
+``maxsize``: no ``functools.cache``, and no ``lru_cache`` or
+``exactq.running`` with maxsize None, whether as a decorator or called on
+a function, except the four caches of the exact kernel listed in
+``UNBOUNDED``, which grow with the largest d asked for.  And no module
+has a ``global`` statement: state that outlives a call lives in a cache.
 """
 from __future__ import annotations
 
@@ -127,7 +134,70 @@ def test_only_cli_imports_oracles():
 def test_oracles_takes_only_types_from_clifford():
     taken = {name for module, name in _spinchi_imports(ast.parse((SRC / "oracles.py").read_text()))
              if module == "clifford"}
-    assert taken == {"Blade", "CliffordElement", "Signature"}, sorted(taken)
+    assert taken == {"Blade", "CliffordElement", "CoefficientRing", "Signature"}, sorted(taken)
     assert _spinchi_imports(ast.parse("from .clifford import Blade, sign_mask\n"
                                       "from . import clifford")) == {
         ("clifford", "Blade"), ("clifford", "sign_mask"), ("clifford", "")}
+
+
+# Unbounded today; sharing one prefix product of D(d) would bound them all.
+UNBOUNDED = {"exactq._zigzag_block", "exactq.bernoulli",
+             "euler._zigzag_factored", "euler._dimension_part"}
+_MAXSIZE_AT = {"lru_cache": 0, "running": 2}  # the position of maxsize
+
+
+def _attr_name(node: ast.expr) -> str | None:
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _unbounded(spec: ast.expr) -> bool:
+    """Whether a decorator, or the callee of ``name = spec(f)``, caches
+    without a bound; a bare ``lru_cache`` keeps 128."""
+    if _attr_name(spec) == "cache":
+        return True
+    if not (isinstance(spec, ast.Call) and _attr_name(spec.func) in _MAXSIZE_AT):
+        return False
+    at = _MAXSIZE_AT[_attr_name(spec.func)]
+    size = next((k.value for k in spec.keywords if k.arg == "maxsize"),
+                spec.args[at] if len(spec.args) > at else None)
+    return isinstance(size, ast.Constant) and size.value is None
+
+
+def _unbounded_caches(tree: ast.Module) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if any(_unbounded(d) for d in node.decorator_list):
+                found.add(node.name)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if _unbounded(node.value.func):
+                found.update(_attr_name(t) for t in node.targets)
+    return found
+
+
+def test_every_cache_has_a_bound():
+    found = {f"{p.stem}.{name}" for p in SRC.glob("*.py")
+             for name in _unbounded_caches(ast.parse(p.read_text(), filename=str(p)))}
+    assert found == UNBOUNDED, sorted(found ^ UNBOUNDED)
+    flagged = ("@lru_cache(maxsize=None)\ndef a(): pass\n"
+               "@lru_cache(None)\ndef b(): pass\n"
+               "c = lru_cache(maxsize=None)(C)\n"
+               "@cache\ndef d(): pass\n"
+               "@functools.cache\ndef e(): pass\n"
+               "@running(0, 0, None)\ndef f(x, n): pass\n")
+    assert _unbounded_caches(ast.parse(flagged)) == set("abcdef")
+    assert not _unbounded_caches(ast.parse(
+        "@lru_cache\ndef a(): pass\n@functools.lru_cache(maxsize=8)\ndef b(): pass\n"
+        "c = lru_cache(256)(C)\n@running(0, 0, 64)\ndef d(x, n): pass\n"))
+
+
+def _has_global(tree: ast.Module) -> bool:
+    return any(isinstance(node, ast.Global) for node in ast.walk(tree))
+
+
+def test_no_module_uses_a_global_statement():
+    users = {p.name for p in SRC.glob("*.py") if _has_global(ast.parse(p.read_text()))}
+    assert not users, sorted(users)
+    assert _has_global(ast.parse("def f():\n    global x\n"))
+    assert not _has_global(ast.parse("x = 1\ndef f():\n    return x\n"))
