@@ -21,8 +21,8 @@ With the zigzag numbers A_i (``exactq.zigzag``), (2^(2j)-1)|zeta(1-2j)|
 with (a, t) = (4l^2 - 4l, l - 1) for even d and (4l^2 - l, d - 2) for
 odd d.  ``EulerResult`` is the ledger chi = lead * D(d): lead = sign *
 C(l, k) is all of chi's dependence on m at fixed d, and D(d) = 2^a * A_t
-* prod A_(2j-1) is cached per d with its value and its factorization
-(each A_i factored once), so the full value is never factored.
+* prod A_(2j-1) is cached per d (64 kept), its value read off one running
+tangent prefix and its factorization from each A_i factored once.
 
 ``adelic_assembly_exact`` recomputes chi from first principles as a
 product of local volumes: the normalized compact-dual volume vol(d) =
@@ -71,37 +71,41 @@ CASE_2MOD4 = "2mod4"
 CASE_ODD = "odd"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _zigzag_factored(i: int) -> FactoredInteger:
     return FactoredInteger.of(zigzag(i))
 
 
-class _DimensionPart:
-    """D(d) = 2^a * prod A_i over i in (t, 1, 3, ..., 2l-3), one per d.
+@running(1, 0, 64)
+def _tangent_prefix(product: int, j: int) -> int:
+    """The product A_1 * A_3 * ... * A_(2j-1) of the first j tangent numbers."""
+    return product * zigzag(2 * j - 1)
 
-    Value and factorization are built on first use (A_i factored once each).
-    """
+
+class _DimensionPart:
+    """D(d) = 2^a * A_t * prod_{j<l} A_(2j-1), its value off the running prefix; 64 kept."""
 
     def __init__(self, d: int) -> None:
-        l = d // 2
+        self.l = l = d // 2
         if d % 2:
-            self.case, self.a, t = CASE_ODD, 4 * l * l - l, d - 2
+            self.case, self.a, self.t = CASE_ODD, 4 * l * l - l, d - 2
         else:
             self.case = CASE_0MOD4 if d % 4 == 0 else CASE_2MOD4
-            self.a, t = 4 * l * l - 4 * l, l - 1
-        self.indices = (t, *range(1, 2 * l - 1, 2))
+            self.a, self.t = 4 * l * l - 4 * l, l - 1
 
     @cached_property
     def value(self) -> int:
-        return 2 ** self.a * math.prod(zigzag(i) for i in self.indices)
+        if self.case == CASE_ODD:  # A_t = A_(2l-1) is the l-th tangent number
+            return _tangent_prefix(self.l) << self.a
+        return zigzag(self.t) * _tangent_prefix(self.l - 1) << self.a
 
     @cached_property
     def factored(self) -> FactoredInteger:
-        return math.prod((_zigzag_factored(i) for i in self.indices),
+        return math.prod((_zigzag_factored(i) for i in (self.t, *range(1, 2 * self.l - 1, 2))),
                          start=FactoredInteger(1, ((2, self.a),)))
 
 
-_dimension_part = lru_cache(maxsize=None)(_DimensionPart)
+_dimension_part = lru_cache(maxsize=64)(_DimensionPart)
 
 
 class EulerResult(Value):
@@ -136,9 +140,8 @@ def r_factor(d: int) -> int:
     """The dimension-only factor R(d) = 2^(a + l(l-1)) A_t, d >= 3."""
     if d < 3:
         raise ValueError("need d >= 3")
-    l = d // 2
     part = _dimension_part(d)
-    return 2 ** (part.a + l * (l - 1)) * zigzag(part.indices[0])
+    return 2 ** (part.a + part.l * (part.l - 1)) * zigzag(part.t)
 
 
 def _sign(m: int, n: int) -> int:  # chi_sign once SpinGroupDescriptor(m, n) has checked (m, n)

@@ -111,7 +111,7 @@ def running(first, start: int, maxsize: int):
 # Bernoulli machinery
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # keyed by powers of two
 def _zigzag_block(size: int) -> tuple[int, ...]:
     # A_0 .. A_(size-1) by the Seidel-Entringer boustrophedon: row r holds
     # E(r, k) = E(r, k-1) + E(r-1, r-k), E(r, 0) = 0, and A_r = E(r, r).
@@ -134,7 +134,7 @@ def zigzag(n: int) -> int:
     return _zigzag_block(1 << n.bit_length())[n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, with B_1 = -1/2.
 

@@ -102,7 +102,7 @@ def sweep_theorem_frank_dim(d_max: int) -> SweepReport:
     assertions.
     """
     equivalent = _equivalent_pairs(d_max)
-    chi = {s: chi_closed(*s) for s in {s for pair in equivalent for s in pair}}
+    chi = {s: chi_closed(*s) for s in dict.fromkeys(s for pair in equivalent for s in pair)}
     violations: list[str] = []
     notes: list[str] = []
     for a, b in equivalent:
@@ -145,6 +145,6 @@ def sweep_euler_not_profinite(d_max: int) -> list[ChiMismatchPair]:
     Empty lists are a legitimate outcome for small d_max.
     """
     equivalent = _equivalent_pairs(d_max)
-    chi = {s: chi_closed(*s).value for s in {s for pair in equivalent for s in pair}}
+    chi = {s: chi_closed(*s).value for s in dict.fromkeys(s for pair in equivalent for s in pair)}
     return [ChiMismatchPair(a, b, chi[a], chi[b]) for a, b in equivalent
             if chi[a] and chi[b] and chi[a] != chi[b]]

@@ -339,13 +339,16 @@ def test_closed_stdout_exits_1_without_a_traceback():
 
 
 def test_memo_caches_are_bounded(capsys):
-    # The per-value caches of the local and adelic layers never grow past
-    # their maxsize, however many forms and signatures a process sees.
+    # The per-value caches of the local, adelic and closed layers never grow
+    # past their maxsize, however many forms and signatures a process sees.
     assert main(["verify", "oracles"]) == 0 and main(["verify", "adelic"]) == 0
+    assert main(["chi", "40", "2", "--factored"]) == 0
     capsys.readouterr()
     for cache in (qforms._key, qforms._prime_divisors, qforms._place,
                   euler._ledger_entry, euler._prefix, euler._dual_factor,
-                  ggroups.vol_compact_dual, euler._odd_primes, euler._degree_log_sum):
+                  ggroups.vol_compact_dual, euler._odd_primes, euler._degree_log_sum,
+                  euler._tangent_prefix, euler._dimension_part, euler._zigzag_factored,
+                  exactq.bernoulli, exactq._zigzag_block):
         info = cache.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize, info
 

@@ -139,12 +139,17 @@ def test_odd_product_frozen_value():
 
 
 def test_zigzag_pieces_match_three_case_formula():
-    for d in range(3, 61):
-        want = _r_factor_three_cases(d)
-        assert r_factor(d) == want, d
-        value = chi_closed(d - 2, 2).dimension.value  # the ledger's per-d part
-        assert isinstance(value, int), d
-        assert value == want * _odd_product(d // 2), d
+    # The second pass asks in descending d from cold caches: a running
+    # prefix gives the same f(n) whichever n it built last.
+    for ds in (range(3, 61), range(60, 2, -1)):
+        euler._tangent_prefix.cache_clear()
+        euler._dimension_part.cache_clear()
+        for d in ds:
+            want = _r_factor_three_cases(d)
+            assert r_factor(d) == want, d
+            value = chi_closed(d - 2, 2).dimension.value  # the ledger's per-d part
+            assert isinstance(value, int), d
+            assert value == want * _odd_product(d // 2), d
 
 
 def test_chi_decomposes_through_r_factor():
@@ -280,14 +285,18 @@ def _stack_depth() -> int:
 
 
 def test_cold_calls_recurse_a_bounded_depth(cold_ledger):
-    # A cold assembly at d = 300 and a cold vol(300) need 150 prefixes and
-    # 298 volume factors; under a recursion limit 60 frames above the
-    # caller, neither may recurse once per degree.
+    # A cold assembly at d = 300, a cold vol(300) and a cold D(300) need
+    # 150 prefixes, 298 volume factors and 149 tangent steps; under a
+    # recursion limit 60 frames above the caller, none may recurse once
+    # per degree.
     want_chi, want_vol = chi_closed(298, 2).value, oracles.vol_compact_dual_direct(300)
     ggroups.vol_compact_dual.cache_clear()
+    euler._tangent_prefix.cache_clear()
+    euler._dimension_part.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 60)
     try:
+        assert chi_closed(298, 2).value == want_chi
         assert adelic_assembly_exact(298, 2) == want_chi
         assert vol_compact_dual(300) == want_vol
     finally:

@@ -13,9 +13,8 @@ takes only the four Clifford types from ``clifford``, no function.
 Two guards keep the runtime's state bounded.  Every cache has a finite
 ``maxsize``: no ``functools.cache``, and no ``lru_cache`` or
 ``exactq.running`` with maxsize None, whether as a decorator or called on
-a function, except the four caches of the exact kernel listed in
-``UNBOUNDED``, which grow with the largest d asked for.  And no module
-has a ``global`` statement: state that outlives a call lives in a cache.
+a function.  And no module has a ``global`` statement: state that
+outlives a call lives in a cache.
 """
 from __future__ import annotations
 
@@ -140,9 +139,6 @@ def test_oracles_takes_only_types_from_clifford():
         ("clifford", "Blade"), ("clifford", "sign_mask"), ("clifford", "")}
 
 
-# Unbounded today; sharing one prefix product of D(d) would bound them all.
-UNBOUNDED = {"exactq._zigzag_block", "exactq.bernoulli",
-             "euler._zigzag_factored", "euler._dimension_part"}
 _MAXSIZE_AT = {"lru_cache": 0, "running": 2}  # the position of maxsize
 
 
@@ -179,7 +175,7 @@ def _unbounded_caches(tree: ast.Module) -> set[str]:
 def test_every_cache_has_a_bound():
     found = {f"{p.stem}.{name}" for p in SRC.glob("*.py")
              for name in _unbounded_caches(ast.parse(p.read_text(), filename=str(p)))}
-    assert found == UNBOUNDED, sorted(found ^ UNBOUNDED)
+    assert not found, sorted(found)
     flagged = ("@lru_cache(maxsize=None)\ndef a(): pass\n"
                "@lru_cache(None)\ndef b(): pass\n"
                "c = lru_cache(maxsize=None)(C)\n"

@@ -8,11 +8,12 @@ chi containing (5,5) and (1,9), are asserted explicitly.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 
-from spinchi import profinite
+from spinchi import euler, profinite
 from spinchi.euler import chi_closed
 from spinchi.profinite import (
     _equivalent_pairs,
@@ -188,6 +189,24 @@ def test_chi_is_not_a_profinite_invariant():
     # signs still agree on every witnessing pair
     for item in mismatches:
         assert (item.chi_first > 0) == (item.chi_second > 0)
+
+
+def test_sweep_asks_for_chi_in_ascending_d(monkeypatch):
+    # D(d) reads a running tangent prefix, which extends the last j built:
+    # read in ascending d from cold caches, the sweep takes one step per j.
+    steps = []
+    zigzag = euler.zigzag
+
+    def counted(i):
+        if sys._getframe(1).f_code.co_name == "_tangent_prefix":  # the step, not A_t
+            steps.append(i)
+        return zigzag(i)
+
+    monkeypatch.setattr(euler, "zigzag", counted)
+    euler._tangent_prefix.cache_clear()
+    euler._dimension_part.cache_clear()
+    sweep_euler_not_profinite(100)
+    assert steps == [2 * j - 1 for j in range(1, 50)]
 
 
 def test_chi_mismatch_exists_already_at_d7():
