@@ -9,8 +9,16 @@ hold the machinery:
 * ``ggroups``  Weyl data, finite spin group orders, compact dual volumes
 * ``euler``    the Euler characteristic itself, closed and adelic
 * ``profinite`` commensurability reports and theorem sweeps
+* ``oracles``  brute-force referees for ``spinchi verify`` and the tests
 * ``cli``      command-line interface (``python -m spinchi.cli`` or ``spinchi``)
+
+Only ``compare`` runs ``profinite``, and only ``verify`` runs ``clifford`` and
+``oracles``.  The three sit in ``sys.modules`` as lazy modules, run when
+imported by name (``from spinchi import profinite``) or first used, and
+``profinite``'s names here resolve on first use, so ``dataclasses`` waits too.
 """
+import importlib.util
+import sys
 
 from .euler import (
     EulerResult,
@@ -25,12 +33,6 @@ from .euler import (
 )
 from .exactq import FactoredInteger, PiExact
 from .ggroups import SpinGroupDescriptor, spin_order_fp, vol_compact_dual, weyl_ratio
-from .profinite import (
-    CommensurabilityReport,
-    profinitely_commensurable,
-    sweep_euler_not_profinite,
-    sweep_theorem_frank_dim,
-)
 from .qforms import (
     DiagonalForm,
     Place,
@@ -43,6 +45,23 @@ from .qforms import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = ("clifford", "oracles", "profinite")
+for _name in _LAZY:  # LazyLoader runs a module's code on its first attribute access
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    importlib.util.LazyLoader(_spec.loader).exec_module(sys.modules[_spec.name])
+
+
+def __getattr__(name: str):
+    if name in _LAZY:  # an import by name runs the module now, as for any submodule
+        module = sys.modules[f"{__name__}.{name}"]
+        vars(module)  # the first attribute access runs a lazy module's code
+        return module
+    if name in __all__:  # only profinite's names in __all__ are unbound here
+        return getattr(__getattr__("profinite"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CommensurabilityReport",

@@ -16,7 +16,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import clifford, exactq, ggroups, oracles, profinite, qforms
+from . import exactq, ggroups, qforms
 from . import euler as euler_mod
 
 
@@ -79,6 +79,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import profinite
     rep = profinite.profinitely_commensurable(args.m, args.n, args.m2, args.n2)
     first, second = rep.chi_both
     _emit({
@@ -103,22 +104,22 @@ _TABLE_FIELDS = ("m", "n", "d", "dimX", "delta", "chi",
 def _cmd_table(args) -> int:
     if args.d_max < 3:
         raise ValueError("need --d-max >= 3")
-    results = [euler_mod.chi_closed(m, d - m)
-               for d in range(3, args.d_max + 1) for m in range(1, d)]
-    records = [_chi_record(res) for res in results]
+    results = (euler_mod.chi_closed(m, d - m)
+               for d in range(3, args.d_max + 1) for m in range(1, d))
     if args.csv:
         print(",".join(_TABLE_FIELDS))
-        for rec in records:
+        for rec in map(_chi_record, results):
             print(",".join(str(rec[f]) for f in _TABLE_FIELDS))
     elif args.pretty:
+        records = [_chi_record(res) for res in results]  # the widths need every row
         widths = {f: max(len(f), *(len(str(r[f])) for r in records))
                   for f in _TABLE_FIELDS}
         print("  ".join(f.ljust(widths[f]) for f in _TABLE_FIELDS))
         for rec in records:
             print("  ".join(str(rec[f]).ljust(widths[f]) for f in _TABLE_FIELDS))
     else:
-        for rec, res in zip(records, results):
-            print(json.dumps(_with_l2(rec, res)))
+        for res in results:
+            print(json.dumps(_with_l2(_chi_record(res), res)))
     return 0
 
 
@@ -173,6 +174,7 @@ def _suite_exactq() -> None:
 
 
 def _suite_clifford() -> None:
+    from . import clifford, oracles
     for d in range(1, 11):
         sig = clifford.Signature(max(1, d - 1), d - max(1, d - 1))
         for blade in range(1 << d):
@@ -208,6 +210,7 @@ def _suite_clifford() -> None:
 
 
 def _random_element(rng, sig, ring):
+    from . import clifford
     coeffs = {}
     for _ in range(rng.randint(1, 4)):
         blade = rng.randrange(1 << sig.d)
@@ -216,6 +219,7 @@ def _random_element(rng, sig, ring):
 
 
 def _suite_oracles() -> None:
+    from . import oracles
     rng = random.Random(97)
     squarefrees = [x for x in range(-35, 36)
                    if x and all(x % (q * q) for q in (2, 3, 5))]
@@ -298,32 +302,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     "of Spin(m, n) and the local invariants behind them.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, *int_args):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--pretty", action="store_true",
                        help="indent JSON / align tables")
+        for arg in int_args:
+            p.add_argument(arg, type=int)
         return p
 
-    p = add("chi", _cmd_chi, "Euler characteristic of Spin(m,n) at level 4")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p = add("chi", _cmd_chi, "Euler characteristic of Spin(m,n) at level 4", "m", "n")
     p.add_argument("--factored", action="store_true",
                    help="print only the factored value")
 
-    p = add("sign", _cmd_sign, "sign of the Euler characteristic")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-
-    p = add("profile", _cmd_profile, "L2 invariant profile")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-
-    p = add("compare", _cmd_compare, "profinite commensurability report")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("m2", type=int)
-    p.add_argument("n2", type=int)
+    add("sign", _cmd_sign, "sign of the Euler characteristic", "m", "n")
+    add("profile", _cmd_profile, "L2 invariant profile", "m", "n")
+    add("compare", _cmd_compare, "profinite commensurability report", "m", "n", "m2", "n2")
 
     p = add("table", _cmd_table, "chi table for all (m,n) with 3 <= d <= d_max")
     p.add_argument("--d-max", type=int, default=10)
@@ -334,9 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 f"m + n <= {qforms.PM_RANK_LIMIT}")
     p.add_argument("place", help='prime or "oo"')
 
-    p = add("srank", _cmd_srank, "S-arithmetic rank and Serre sign")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p = add("srank", _cmd_srank, "S-arithmetic rank and Serre sign", "m", "n")
     p.add_argument("primes", type=int, nargs="*", default=[])
 
     p = add("verify", _cmd_verify, "run self-check suites")

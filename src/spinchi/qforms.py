@@ -200,7 +200,10 @@ class DiagonalForm(Value):
         """Comma-separated rationals, or the shortcut ``b(m,n)``."""
         text = text.strip()
         if text.startswith("b(") and text.endswith(")"):
-            m, n = (int(part) for part in text[2:-1].split(","))
+            try:
+                m, n = (int(part) for part in text[2:-1].split(","))
+            except ValueError:
+                raise ValueError(f"expected b(m,n) with two integers, not {text!r}") from None
             return cls.pm(m, n)
         return cls(tuple(Fraction(part.strip()) for part in text.split(",")))
 

@@ -307,6 +307,8 @@ def test_domain_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "witt", "b(2,1)", "15")
     assert code == 2
+    code, _, err = run(capsys, "witt", "b(3)", "3")
+    assert (code, err) == (2, "error: expected b(m,n) with two integers, not 'b(3)'\n")
     code, _, err = run(capsys, "witt", "b(99999999999999999999,1)", "3")
     assert code == 2
     assert "m + n <= 100000" in err
@@ -327,7 +329,10 @@ def test_closed_stdout_exits_1_without_a_traceback():
     # over for the interpreter's last flush.
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     env.pop("PYTHONUNBUFFERED", None)
-    for argv in (["table", "--d-max", "40", "--csv"], ["chi", "8", "2"]):
+    # table streams its rows: at d_max = 100 it would otherwise build every row,
+    # through the factoring wall at d >= 71, before printing the first
+    for argv in (["table", "--d-max", "40", "--csv"], ["table", "--d-max", "100", "--csv"],
+                 ["chi", "8", "2"]):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

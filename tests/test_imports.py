@@ -10,6 +10,15 @@ cost about 1 ms each at import, and the runtime value types build on
 the code they check: only ``cli`` imports ``oracles``, and ``oracles``
 takes only the four Clifford types from ``clifford``, no function.
 
+A cold ``import spinchi, spinchi.cli``, in a fresh interpreter, runs
+none of ``clifford``, ``oracles`` or ``profinite`` and so loads neither
+``dataclasses`` nor the ``inspect`` it brings: only ``compare`` and
+``verify`` reach them.  The package holds the three as lazy modules, in
+``sys.modules`` from the start (``bench/tracing.py`` looks the modules it
+wraps up there) but run on first attribute access or on an import by name,
+and every name of ``spinchi.__all__`` still resolves to its submodule's
+object.
+
 Two guards keep the runtime's state bounded.  Every cache has a finite
 ``maxsize``: no ``functools.cache``, and no ``lru_cache`` or
 ``exactq.running`` with maxsize None, whether as a decorator or called on
@@ -19,11 +28,16 @@ outlives a call lives in a cache.
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinchi"
+BENCH = SRC.parent.parent / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -197,3 +211,55 @@ def test_no_module_uses_a_global_statement():
     assert not users, sorted(users)
     assert _has_global(ast.parse("def f():\n    global x\n"))
     assert not _has_global(ast.parse("x = 1\ndef f():\n    return x\n"))
+
+
+# Run in a fresh interpreter: which modules the cold import ran, whether the
+# modules bench/tracing.py wraps are in sys.modules, which an import by name
+# runs, and what the package's names resolve to.  An audit hook names the
+# source file of every code object that runs, so a module counts once its
+# code runs, however it was imported.
+_COLD_IMPORT = """
+import json, sys
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(args[0].co_filename))
+import spinchi, spinchi.cli
+out = {"ran": sorted(ran)}
+sys.path.insert(0, sys.argv[1])
+import tracing
+out["untraceable"] = sorted({mod for _, mod, _, _ in tracing.TRACED} - {
+    n.removeprefix("spinchi.") for n in sys.modules})
+from spinchi import clifford, profinite
+out["ran_on_import"] = sorted(ran)
+from spinchi import euler, exactq, ggroups, qforms
+out["unresolved"] = [name for name in spinchi.__all__ if getattr(spinchi, name) is not next(
+    getattr(m, name) for m in (euler, exactq, ggroups, profinite, qforms) if hasattr(m, name))]
+try:
+    spinchi.no_such_name
+except AttributeError as exc:
+    out["missing"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def _module_names(files: list[str]) -> set[str]:
+    """``spinchi.<stem>`` for a file of the package, else the file's stem."""
+    return {p.stem if p.parent.name != "spinchi" else "spinchi" if p.stem == "__init__"
+            else f"spinchi.{p.stem}" for p in map(Path, files)}
+
+
+def test_cold_import_runs_only_what_every_command_needs():
+    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT, str(BENCH)], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    ran = _module_names(out["ran"])
+    skipped = {"spinchi.clifford", "spinchi.oracles", "spinchi.profinite", "dataclasses", "inspect"}
+    assert not skipped & ran, sorted(skipped & ran)
+    assert {"spinchi", "spinchi.cli", "spinchi.euler"} <= ran, sorted(ran)
+    assert out["untraceable"] == []
+    assert out["unresolved"] == []
+    assert out["missing"] == "module 'spinchi' has no attribute 'no_such_name'"
+    # as bench/workloads.py needs, a plan that imports a module by name runs it
+    # before its ops are timed
+    assert {"spinchi.clifford", "spinchi.profinite", "dataclasses"} <= _module_names(
+        out["ran_on_import"])
